@@ -324,6 +324,8 @@ def _report_rows(report: correlation.CorrelationReport) -> list[tuple[str, objec
 
 
 def _cmd_correlate(config: RunConfig) -> None:
+    if bool(config.checkpoints) != (config.curve_out is not None):
+        raise UsageError("--curve-out and --checkpoints go together")
     tc, df, _ = stats.read_stats_columns(config.stats_path)
     if config.fractional:
         x = correlation.fractional_rank(tc)
@@ -341,9 +343,7 @@ def _cmd_correlate(config: RunConfig) -> None:
         _write_json(payload, config.out)
     else:
         _write_tsv_rows(_report_rows(report), config.out)
-    if config.curve_out is not None or config.checkpoints:
-        if config.curve_out is None or not config.checkpoints:
-            raise UsageError("--curve-out and --checkpoints go together")
+    if config.curve_out is not None:
         order = np.lexsort((y, x))
         points = correlation.prefix_correlation_curve(x[order], y[order], config.checkpoints)
         correlation.write_curve(points, config.curve_out)

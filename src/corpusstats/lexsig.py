@@ -71,11 +71,10 @@ def model_from_table(
     """
     mode = DfMode(df_mode)
     n_hat = table.doc_count if doc_count is None else doc_count
-    tc = {term: pair[0] for term, pair in table.entries.items()}
-    if mode is DfMode.MEASURED_DF:
-        df = {term: pair[1] for term, pair in table.entries.items()}
-    else:
-        df = {}
+    terms = table.terms()
+    tc_col, df_col = table.count_arrays()
+    tc = dict(zip(terms, tc_col.tolist()))
+    df = dict(zip(terms, df_col.tolist())) if mode is DfMode.MEASURED_DF else {}
     return BackgroundModel(tc, df, n_hat, mode)
 
 
@@ -121,10 +120,13 @@ def tf_idf(
     which only rescales all of a document's weights by one positive
     constant (empty documents have no terms, so no division by zero).
     """
-    weight = float(tf(term, document))
-    if normalized_tf and weight:
-        weight /= len(document.tokens)
-    return weight * idf(term, model)
+    return _weight(term, tf(term, document), len(document.tokens), model, normalized_tf)
+
+
+def _weight(term: str, count: int, length: int, model: BackgroundModel, normalized_tf: bool) -> float:
+    """The tf-idf weight of a term seen ``count`` times in a ``length``-token document."""
+    scaled = count / length if normalized_tf and count else float(count)
+    return scaled * idf(term, model)
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,11 @@ def lexical_signature(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    counts = Counter(document.tokens)
-    total = len(document.tokens)
-    weights: dict[str, float] = {}
-    for term, count in counts.items():
-        weight = count / total if normalized_tf else float(count)
-        weights[term] = weight * idf(term, model)
+    length = len(document.tokens)
+    weights = {
+        term: _weight(term, count, length, model, normalized_tf)
+        for term, count in Counter(document.tokens).items()
+    }
     return LexicalSignature(document.id, tuple(top_terms_by_weight(weights, k)))
 
 

@@ -61,8 +61,6 @@ def rank_values(values) -> np.ndarray:
     except (OverflowError, TypeError, ValueError):
         raise ValidationError("values must be integers within int64 range") from None
     n = v.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     if v.min() < 0:
         raise ValidationError("values must be non-negative")
     order = np.argsort(-v, kind="stable")
@@ -78,42 +76,42 @@ def rank_values(values) -> np.ndarray:
 def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
     """Rank (term, value) pairs by value descending.
 
-    Values must be non-negative integers; duplicate terms are refused.
-    Deterministic: equal inputs give byte-equal exports.
+    Values must be non-negative integers up to 2**63 - 1; duplicate terms
+    are refused. Deterministic: equal inputs give byte-equal exports.
     """
-    terms: list[str] = []
-    values: list[int] = []
-    seen: set[str] = set()
+    values: dict[str, int] = {}
     for term, value in pairs:
-        if term in seen:
+        if term in values:
             raise ValidationError(f"duplicate term: {term!r}")
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"value for {term!r} is not an integer: {value!r}")
         if value < 0:
             raise ValidationError(f"value for {term!r} is negative: {value}")
-        seen.add(term)
-        terms.append(term)
-        values.append(int(value))
-    n = len(terms)
-    order = sorted(range(n), key=lambda i: (-values[i], terms[i]))
-    ranks = np.empty(n, dtype=np.int64)
-    current = 0
-    previous = None
-    for pos, i in enumerate(order):
-        if previous is None or values[i] != previous:
-            current = pos + 1
-            previous = values[i]
-        ranks[pos] = current
-    out_values = np.fromiter((values[i] for i in order), dtype=np.int64, count=n)
-    return RankedList([terms[i] for i in order], out_values, ranks)
+        values[term] = int(value)
+    terms = sorted(values)
+    try:
+        column = np.fromiter((values[t] for t in terms), dtype=np.int64, count=len(terms))
+    except OverflowError:
+        raise ValidationError("values exceed the int64 limit of 2**63 - 1") from None
+    return _rank_sorted_rows(terms, column)
 
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     """Rank a stats table's terms by its tc or df column."""
     if by not in ("tc", "df"):
         raise ValidationError(f"by must be 'tc' or 'df', got {by!r}")
-    column = 0 if by == "tc" else 1
-    return sports_rank((term, pair[column]) for term, pair in table.entries.items())
+    tc, df = table.count_arrays()
+    return _rank_sorted_rows(table.terms(), tc if by == "tc" else df)
+
+
+def _rank_sorted_rows(terms: list[str], values: np.ndarray) -> RankedList:
+    """Competition-rank term-sorted rows into presentation order.
+
+    The stable sort on -value keeps tied terms in ascending term order.
+    """
+    order = np.argsort(-values, kind="stable")
+    ordered = values[order]
+    return RankedList([terms[i] for i in order], ordered, rank_values(ordered))
 
 
 def ranking_overlap(

@@ -8,7 +8,6 @@ agree across roundings for the same table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -89,23 +88,20 @@ def ratio_histogram(table: TermStatsTable, rounding: Rounding) -> RatioHistogram
 
     The mean, population standard deviation, and median come from the
     unrounded ratios (two-pass, definitional formulas), so they are
-    identical whichever rounding is chosen. Only the bin keys move.
+    identical whichever rounding is chosen. Only the bin keys move: each
+    distinct ratio is rounded once by :func:`round_ratio`.
     """
     rounding = Rounding(rounding)
     ratios = compute_ratios(table)
     mean = float(ratios.mean())
     stddev = float(np.sqrt(np.mean((ratios - mean) ** 2)))
     median = float(np.median(ratios))
-    if rounding is Rounding.INTEGER:
-        # np.rint is round-half-to-even, same as Python round() on doubles
-        keys = np.rint(ratios).tolist()
-    else:
-        quantum = _QUANTA[rounding]
-        keys = [
-            float(Decimal(repr(r)).quantize(quantum, rounding=ROUND_HALF_UP))
-            for r in ratios.tolist()
-        ]
-    bins = dict(sorted(Counter(keys).items()))
+    distinct, counts = np.unique(ratios, return_counts=True)
+    binned: dict[float, int] = {}
+    for value, count in zip(distinct.tolist(), counts.tolist()):
+        key = round_ratio(value, rounding)
+        binned[key] = binned.get(key, 0) + count
+    bins = dict(sorted(binned.items()))
     return RatioHistogram(rounding, bins, mean, stddev, median)
 
 

@@ -91,7 +91,7 @@ def song_docs():
 
 @pytest.fixture
 def song_table():
-    return TermStatsTable(dict(SONG_TC_DF), doc_count=5)
+    return TermStatsTable.from_mapping(dict(SONG_TC_DF), doc_count=5)
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ def random_table(rng, max_terms=80):
         tc = int(rng.integers(1, 500))
         df = int(rng.integers(1, min(tc, n_docs) + 1))
         entries[f"t{i:04d}"] = (tc, df)
-    return TermStatsTable(entries, n_docs)
+    return TermStatsTable.from_mapping(entries, n_docs)
 
 
 def test_criterion_01_count_reproduces_song_table(song_corpus_dir, tmp_path):
@@ -222,7 +222,7 @@ def test_criterion_09_idf_and_signature_properties():
     for n_docs in (1, 5, 50):
         values = [
             idf("t", model_from_table(
-                TermStatsTable({"t": (1000, d)}, n_docs), DfMode.MEASURED_DF))
+                TermStatsTable.from_mapping({"t": (1000, d)}, n_docs), DfMode.MEASURED_DF))
             for d in range(1, n_docs + 1)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))

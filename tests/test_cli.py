@@ -154,6 +154,12 @@ class TestCorrelate:
                      "--out", str(tmp_path / "r.tsv"),
                      "--curve-out", str(tmp_path / "c.tsv")]) == 1
 
+    def test_checkpoints_without_curve_out_fails_before_writing(self, song_stats_file, tmp_path):
+        out = tmp_path / "r.tsv"
+        assert main(["correlate", "--stats", str(song_stats_file), "--out", str(out),
+                     "--checkpoints", "2,3"]) == 1
+        assert not out.exists()
+
 
 class TestRatio:
     def test_all_roundings_written(self, song_stats_file, tmp_path):
@@ -329,6 +335,47 @@ class TestExitCodes:
     def test_unwritable_output_is_io_error(self, song_corpus_dir, tmp_path):
         assert main(["count", "--corpus", str(song_corpus_dir),
                      "--out", str(tmp_path / "no" / "such" / "dir.tsv")]) == 3
+
+
+# One malformed row in an otherwise valid table, and the message every
+# subcommand must report for it (the row sits on line 3).
+BAD_ROWS = {
+    "empty_term": ("\t3\t1", "empty term"),
+    "plus_sign": ("x\t+5\t1", "tc is not a plain integer: '+5'"),
+    "underscore": ("x\t1_0\t1", "tc is not a plain integer: '1_0'"),
+    "non_ascii_digit": ("x\t \u0663\t1", "tc is not a plain integer: ' \u0663'"),
+    "above_int64": (f"x\t{2**63}\t1", "tc exceeds 2**63 - 1"),
+    "too_many_digits": ("x\t" + "1" * 5000 + "\t1", "a count has too many digits"),
+}
+
+TABLE_READERS = {
+    "rank_by": lambda stats, doc, out: ["rank", "--stats", stats, "--by", "tc", "--out", out / "o"],
+    "rank_scatter": lambda stats, doc, out: ["rank", "--stats", stats, "--scatter", "--out", out / "o"],
+    "correlate": lambda stats, doc, out: ["correlate", "--stats", stats, "--out", out / "o"],
+    "ratio": lambda stats, doc, out: ["ratio", "--stats", stats, "--out-prefix", out / "o"],
+    "ffreq": lambda stats, doc, out: ["ffreq", "--stats", stats, "--out", out / "o"],
+    "lexsig": lambda stats, doc, out: ["lexsig", "--stats", stats, "--doc", doc, "--out", out / "o"],
+    "compare_sig": lambda stats, doc, out: ["compare-sig", "--stats", stats, "--doc", doc,
+                                            "--out", out / "o"],
+}
+
+
+class TestOneStrictReader:
+    @pytest.mark.parametrize("command", sorted(TABLE_READERS))
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_malformed_row_is_the_same_data_error_everywhere(self, command, case, tmp_path, capsys):
+        row, message = BAD_ROWS[case]
+        stats = tmp_path / "bad.stats"
+        stats.write_text(f"#N=5\na\t2\t1\n{row}\n", encoding="utf-8")
+        doc = tmp_path / "d.txt"
+        doc.write_text("a b\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [str(arg) for arg in TABLE_READERS[command](stats, doc, out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {stats}:3: {message}\n"
+        assert list(out.iterdir()) == []
 
 
 class TestDeterminism:

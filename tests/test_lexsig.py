@@ -46,7 +46,7 @@ class TestIdf:
         assert idf("zcareer", song_model) == math.log10(6.0)
 
     def test_term_in_every_document_gets_zero(self):
-        table = TermStatsTable({"the": (9, 3)}, 3)
+        table = TermStatsTable.from_mapping({"the": (9, 3)}, 3)
         model = model_from_table(table)
         assert idf("the", model) == 0.0
 
@@ -74,7 +74,7 @@ class TestIdf:
                 df = int(rng.integers(1, doc_count + 1))
                 tc = df + int(rng.integers(0, 100))
                 entries[f"t{i}"] = (tc, df)
-            table = TermStatsTable(entries, doc_count)
+            table = TermStatsTable.from_mapping(entries, doc_count)
             measured = model_from_table(table, DfMode.MEASURED_DF)
             proxy = model_from_table(table, DfMode.TC_AS_DF)
             for term in entries:
@@ -193,7 +193,7 @@ class TestLexicalSignature:
         for i, term in enumerate(vocab):
             df = int(rng.integers(1, 20))
             entries[term] = (df + int(rng.integers(0, 50)), df)
-        model = model_from_table(TermStatsTable(entries, 20))
+        model = model_from_table(TermStatsTable.from_mapping(entries, 20))
         for trial in range(300):
             size = int(rng.integers(1, 80))
             tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size)]

@@ -185,7 +185,7 @@ class TestAlignRanks:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
-            align_ranks(TermStatsTable({}, 0))
+            align_ranks(TermStatsTable.from_mapping({}, 0))
 
 
 class TestExports:

@@ -23,7 +23,7 @@ def random_table(rng, max_terms=60):
         df = int(rng.integers(1, 40))
         tc = df + int(rng.integers(0, 200))
         entries[f"t{i:03d}"] = (tc, df)
-    return TermStatsTable(entries, doc_count=50)
+    return TermStatsTable.from_mapping(entries, doc_count=50)
 
 
 class TestRoundRatio:
@@ -92,7 +92,7 @@ class TestRatioHistogram:
     def test_summary_matches_definitional_oracle(self):
         rng = np.random.default_rng(23)
         table = random_table(rng, max_terms=40)
-        ratios = [tc / df for tc, df in table.entries.values()]
+        ratios = [tc / df for tc, df in table.as_mapping().values()]
         hist = ratio_histogram(table, Rounding.INTEGER)
         assert hist.mean == pytest.approx(statistics.fmean(ratios), abs=1e-12)
         assert hist.stddev == pytest.approx(statistics.pstdev(ratios), abs=1e-12)
@@ -115,7 +115,7 @@ class TestRatioHistogram:
                 continue
             entries[f"t{i:04d}"] = (tc, df)
             i += 1
-        table = TermStatsTable(entries, doc_count=30)
+        table = TermStatsTable.from_mapping(entries, doc_count=30)
         one_decimal = ratio_histogram(table, Rounding.ONE_DECIMAL)
         integer = ratio_histogram(table, Rounding.INTEGER)
         regrouped = {}
@@ -125,18 +125,18 @@ class TestRatioHistogram:
         assert regrouped == integer.bins
 
     def test_mode_tie_break_is_smallest_key(self):
-        table = TermStatsTable({"a": (2, 1), "b": (3, 1)}, 5)
+        table = TermStatsTable.from_mapping({"a": (2, 1), "b": (3, 1)}, 5)
         hist = ratio_histogram(table, Rounding.INTEGER)
         assert hist.bins == {2.0: 1, 3.0: 1}
         assert hist.mode == 2.0
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
-            ratio_histogram(TermStatsTable({}, 0), Rounding.INTEGER)
+            ratio_histogram(TermStatsTable.from_mapping({}, 0), Rounding.INTEGER)
 
     def test_compute_ratios_validates_invariants(self):
         with pytest.raises(ValidationError):
-            compute_ratios(TermStatsTable({"x": (1, 2)}, 5))
+            compute_ratios(TermStatsTable.from_mapping({"x": (1, 2)}, 5))
 
 
 class TestRatioExports:

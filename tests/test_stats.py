@@ -23,11 +23,11 @@ class TestComputeTcDf:
     def test_song_corpus_matches_hand_tally(self, song_docs):
         table = compute_tc_df(song_docs)
         assert table.doc_count == 5
-        assert table.entries == SONG_TC_DF
+        assert table.as_mapping() == SONG_TC_DF
 
     def test_within_document_repeats_count_once_for_df(self):
         table = compute_tc_df([Document("a", ["x", "x", "x"])])
-        assert table.entries == {"x": (3, 1)}
+        assert table.as_mapping() == {"x": (3, 1)}
 
     def test_df_never_exceeds_tc_or_doc_count(self):
         rng = np.random.default_rng(42)
@@ -41,19 +41,19 @@ class TestComputeTcDf:
             table = compute_tc_df(docs)
             table.validate()
             assert table.doc_count == len(docs)
-            for term, (tc, df) in table.entries.items():
+            for term, (tc, df) in table.as_mapping().items():
                 assert 1 <= df <= tc
                 assert df <= table.doc_count
 
     def test_empty_documents_bump_doc_count_only(self):
         table = compute_tc_df([Document("a", []), Document("b", ["x"])])
         assert table.doc_count == 2
-        assert table.entries == {"x": (1, 1)}
+        assert table.as_mapping() == {"x": (1, 1)}
 
     def test_empty_corpus_gives_empty_table(self):
         table = compute_tc_df([])
         assert table.doc_count == 0
-        assert table.entries == {}
+        assert table.as_mapping() == {}
 
     def test_duplicate_doc_id_rejected(self):
         docs = [Document("a", ["x"]), Document("a", ["y"])]
@@ -67,7 +67,7 @@ class TestComputeTcDf:
     def test_jobs_parameter_changes_nothing(self, song_docs):
         sequential = compute_tc_df(song_docs)
         threaded = compute_tc_df(song_docs, jobs=4)
-        assert threaded.entries == sequential.entries
+        assert threaded.as_mapping() == sequential.as_mapping()
         assert threaded.doc_count == sequential.doc_count
 
     def test_jobs_on_larger_random_corpus(self):
@@ -79,7 +79,7 @@ class TestComputeTcDf:
             docs.append(Document(f"d{d}", tokens))
         a = compute_tc_df(iter(docs))
         b = compute_tc_df(iter(docs), jobs=3)
-        assert a.entries == b.entries and a.doc_count == b.doc_count
+        assert a.as_mapping() == b.as_mapping() and a.doc_count == b.doc_count
 
 
 class TestMerge:
@@ -89,19 +89,19 @@ class TestMerge:
             left = compute_tc_df(song_docs[:cut])
             right = compute_tc_df(song_docs[cut:])
             combined = merge(left, right)
-            assert combined.entries == whole.entries
+            assert combined.as_mapping() == whole.as_mapping()
             assert combined.doc_count == whole.doc_count
 
     def test_merge_is_commutative(self, song_docs):
         a = compute_tc_df(song_docs[:2])
         b = compute_tc_df(song_docs[2:])
         ab, ba = merge(a, b), merge(b, a)
-        assert ab.entries == ba.entries and ab.doc_count == ba.doc_count
+        assert ab.as_mapping() == ba.as_mapping() and ab.doc_count == ba.doc_count
 
     def test_merge_overflow_guard(self):
-        big = 2**63
-        a = TermStatsTable({"x": (big, 1)}, 1)
-        b = TermStatsTable({"x": (big, 1)}, 1)
+        big = 2**62  # each fits int64, the sum 2**63 does not
+        a = TermStatsTable.from_mapping({"x": (big, 1)}, 1)
+        b = TermStatsTable.from_mapping({"x": (big, 1)}, 1)
         with pytest.raises(ValidationError):
             merge(a, b)
 
@@ -126,11 +126,11 @@ class TestTableBasics:
 
     def test_validate_catches_violations(self):
         with pytest.raises(ValidationError):
-            TermStatsTable({"x": (1, 2)}, 5).validate()  # df > tc
+            TermStatsTable.from_mapping({"x": (1, 2)}, 5).validate()  # df > tc
         with pytest.raises(ValidationError):
-            TermStatsTable({"x": (3, 0)}, 5).validate()  # df < 1
+            TermStatsTable.from_mapping({"x": (3, 0)}, 5).validate()  # df < 1
         with pytest.raises(ValidationError):
-            TermStatsTable({"x": (3, 2)}, 1).validate()  # df > doc_count
+            TermStatsTable.from_mapping({"x": (3, 2)}, 1).validate()  # df > doc_count
 
 
 class TestFrequencyOfFrequencies:
@@ -156,7 +156,7 @@ class TestFrequencyOfFrequencies:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
-            frequency_of_frequencies(TermStatsTable({}, 0), "tc")
+            frequency_of_frequencies(TermStatsTable.from_mapping({}, 0), "tc")
 
     def test_unknown_column_rejected(self, song_table):
         with pytest.raises(ValidationError):
@@ -168,7 +168,7 @@ class TestStatsFileFormat:
         path = tmp_path / "stats.tsv"
         write_stats(song_table, path)
         again = read_stats(path)
-        assert again.entries == song_table.entries
+        assert again.as_mapping() == song_table.as_mapping()
         assert again.doc_count == song_table.doc_count
 
     def test_written_layout_is_sorted_with_header(self, song_table, tmp_path):
@@ -212,9 +212,9 @@ class TestStatsFileFormat:
 
     def test_empty_table_roundtrip(self, tmp_path):
         path = tmp_path / "stats.tsv"
-        write_stats(TermStatsTable({}, 0), path)
+        write_stats(TermStatsTable.from_mapping({}, 0), path)
         again = read_stats(path)
-        assert again.entries == {} and again.doc_count == 0
+        assert again.as_mapping() == {} and again.doc_count == 0
 
     def test_columns_fast_path_matches_full_read(self, song_table, tmp_path):
         path = tmp_path / "stats.tsv"
@@ -225,10 +225,27 @@ class TestStatsFileFormat:
         assert np.array_equal(tc, tc_full)
         assert np.array_equal(df, df_full)
 
-    def test_columns_fast_path_requires_sorted_rows(self, tmp_path):
+    def test_unsorted_rows_are_accepted_and_sorted(self, tmp_path):
         path = tmp_path / "unsorted.tsv"
         path.write_text("#N=5\nzebra\t2\t1\napple\t1\t1\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_stats_columns(path)
-        # the permissive reader still accepts it
-        assert len(read_stats(path)) == 2
+        table = read_stats(path)
+        assert table.terms() == ["apple", "zebra"]
+        assert table.as_mapping() == {"apple": (1, 1), "zebra": (2, 1)}
+        tc, df, n = read_stats_columns(path)
+        assert tc.tolist() == [1, 2] and df.tolist() == [1, 1] and n == 5
+
+    def test_duplicate_after_unsorted_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("#N=5\nb\t1\t1\na\t1\t1\n\nc\t1\t1\nb\t2\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_stats(path)
+        assert ":6: duplicate term 'b'" in str(err.value)
+
+    def test_count_limit_is_two_to_the_63_minus_one(self, tmp_path):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"#N=5\nx\t{2**63 - 1}\t1\n", encoding="utf-8")
+        assert read_stats(path).tc("x") == 2**63 - 1
+        path.write_text(f"#N=5\nx\t{2**63}\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_stats(path)
+        assert ":2: tc exceeds 2**63 - 1" in str(err.value)
