@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Thin by design: every subcommand parses arguments into a RunConfig, loads
-inputs with the library's readers, calls one library operation, and writes
-with the library's exporters, so any CLI result is reproducible from the
-Python API. Exit codes: 0 success, 1 usage error, 2 data error (parse,
-validation, degenerate input), 3 I/O failure.
+Thin by design: argparse hands each subcommand's parsed arguments straight
+to its handler, which loads inputs with the library's readers, calls one
+library operation, and writes with the library's exporters, so any CLI
+result is reproducible from the Python API. Exit codes: 0 success, 1
+usage error, 2 data error (parse, validation, degenerate input), 3 I/O
+failure.
 
 Outputs are deterministic: rows come out in documented sort orders and
 floats are printed with repr, so identical inputs give byte-identical
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .ingest import (
     DEFAULT_SEPARATOR,
     Document,
     TokenizerConfig,
+    open_utf8,
     parse_frequency_list,
     parse_ngram_counts,
     read_corpus,
@@ -40,52 +41,6 @@ JOBS_ENV_VAR = "CORPUSSTATS_JOBS"
 DEFAULT_SEED = 42
 
 
-@dataclass
-class RunConfig:
-    """Typed bag of everything a single CLI invocation needs."""
-
-    command: str
-    corpus: Path | None = None
-    stats_path: Path | None = None
-    freq_list: Path | None = None
-    ngram: Path | None = None
-    docs: list[Path] = field(default_factory=list)
-    out: Path | None = None
-    out_prefix: str | None = None
-    curve_out: Path | None = None
-    separator: str = DEFAULT_SEPARATOR
-    lowercase: bool = True
-    strip_edge_punctuation: bool = True
-    keep_lemmatized: bool = False
-    min_count: int = 0
-    by: str | None = None
-    scatter: bool = False
-    overlap: tuple[int, int] | None = None
-    checkpoints: list[int] = field(default_factory=list)
-    fractional: bool = False
-    diagnostic: bool = False
-    rounding: str = "all"
-    which: str = "tc"
-    k: int = 5
-    n_hat: int | None = None
-    tc_as_df: bool = False
-    normalized_tf: bool = False
-    kernel: str = "both"
-    sizes: list[int] = field(default_factory=list)
-    trials: int = bench_mod.DEFAULT_TRIALS
-    budget: float = bench_mod.DEFAULT_BUDGET_SECONDS
-    extrapolate: list[int] = field(default_factory=list)
-    seed: int = DEFAULT_SEED
-    jobs: int | None = None
-    format: str = "tsv"
-
-    def tokenizer(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            lowercase=self.lowercase,
-            strip_edge_punctuation=self.strip_edge_punctuation,
-        )
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
 
@@ -93,11 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _comma_ints(text: str, flag: str) -> list[int]:
+def _comma_ints(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not strip leading/trailing punctuation from tokens")
 
     p = sub.add_parser("count", help="count tc/df over a corpus into a stats table")
+    p.set_defaults(handler=_cmd_count)
     p.add_argument("--corpus", required=True, type=Path,
                    help="directory of *.txt files, or one %%%%DOC%%%%-separated stream file")
     p.add_argument("--out", required=True, type=Path, help="stats table to write")
@@ -122,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tokenizer_flags(p)
 
     p = sub.add_parser("rank", help="rank a stats table's terms")
+    p.set_defaults(handler=_cmd_rank)
     p.add_argument("--stats", required=True, type=Path, dest="stats_path")
     p.add_argument("--by", choices=["tc", "df"],
                    help="write the full ranking by this column")
@@ -134,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format for --overlap reports")
 
     p = sub.add_parser("correlate", help="rank correlation between the tc and df rankings")
+    p.set_defaults(handler=_cmd_correlate)
     p.add_argument("--stats", required=True, type=Path, dest="stats_path")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--fractional", action="store_true",
@@ -142,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the tie-naive 6*sum(d^2) Spearman shortcut")
     p.add_argument("--curve-out", type=Path, dest="curve_out",
                    help="also write a prefix-correlation curve here")
-    p.add_argument("--checkpoints", default="",
+    p.add_argument("--checkpoints", type=_comma_ints, default="",
                    help="comma-separated prefix sizes for --curve-out")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
     p = sub.add_parser("ratio", help="histogram the per-term tc/df ratios")
+    p.set_defaults(handler=_cmd_ratio)
     p.add_argument("--stats", required=True, type=Path, dest="stats_path")
     p.add_argument("--out-prefix", required=True, dest="out_prefix",
                    help="write PREFIX.<rounding>.tsv and PREFIX.<rounding>.summary.tsv")
@@ -154,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["two_decimals", "one_decimal", "integer", "all"])
 
     p = sub.add_parser("ffreq", help="frequency-of-frequencies for one input")
+    p.set_defaults(handler=_cmd_ffreq)
     p.add_argument("--stats", type=Path, dest="stats_path")
     p.add_argument("--freq-list", type=Path, dest="freq_list")
     p.add_argument("--ngram", type=Path)
@@ -166,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
     p = sub.add_parser("lexsig", help="top-k tf-idf signature of each document")
+    p.set_defaults(handler=_cmd_lexsig)
     p.add_argument("--doc", action="append", type=Path, default=[], dest="docs",
                    help="document text file (repeatable)")
     p.add_argument("--stats", type=Path, dest="stats_path",
@@ -185,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-sig",
                        help="signatures under measured df vs the tc-as-df proxy")
+    p.set_defaults(handler=_cmd_compare_sig)
     p.add_argument("--doc", action="append", type=Path, default=[], dest="docs",
                    required=True, help="document text file (repeatable)")
     p.add_argument("--stats", required=True, type=Path, dest="stats_path")
@@ -197,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_tokenizer_flags(p)
 
     p = sub.add_parser("bench", help="time the Kendall kernels and fit growth")
+    p.set_defaults(handler=_cmd_bench)
     p.add_argument("--kernel", choices=["naive", "fast", "both"], default="both")
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_comma_ints, required=True,
                    help="comma-separated ascending sample sizes")
     p.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
     p.add_argument("--budget", type=float, default=bench_mod.DEFAULT_BUDGET_SECONDS,
@@ -212,31 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in vars(args):
-        if name == "command":
-            continue
-        value = getattr(args, name)
-        if name == "overlap" and value is not None:
-            value = (value[0], value[1])
-        if name in ("checkpoints", "sizes") and isinstance(value, str):
-            value = _comma_ints(value, f"--{name}")
-        setattr(config, name, value)
-    return config
-
-
-def run(config: RunConfig) -> None:
-    """Execute one configured invocation; raises on failure."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command: {config.command!r}")
-    handler(config)
-
-
-def _effective_jobs(config: RunConfig) -> int:
-    if config.jobs is not None:
-        jobs = config.jobs
+def _effective_jobs(args: argparse.Namespace) -> int:
+    if args.jobs is not None:
+        jobs = args.jobs
     else:
         raw = os.environ.get(JOBS_ENV_VAR, "1")
         try:
@@ -261,57 +204,53 @@ def _write_tsv_rows(rows, path: Path) -> None:
             fh.write("\n")
 
 
-def _cmd_count(config: RunConfig) -> None:
-    documents = read_corpus(config.corpus, config.tokenizer(), config.separator)
-    table = stats.compute_tc_df(documents, jobs=_effective_jobs(config))
-    stats.write_stats(table, config.out)
+def _write_report(rows, path: Path, fmt: str) -> None:
+    """Write ``(key, value)`` rows as TSV lines, or as one JSON object keyed by ``str(key)``."""
+    if fmt == "json":
+        _write_json({str(key): value for key, value in rows}, path)
+    else:
+        _write_tsv_rows(rows, path)
 
 
-def _cmd_rank(config: RunConfig) -> None:
-    modes = sum([config.by is not None, config.scatter, config.overlap is not None])
+def _cmd_count(args: argparse.Namespace) -> None:
+    tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
+    documents = read_corpus(args.corpus, tokenizer, args.separator)
+    table = stats.compute_tc_df(documents, jobs=_effective_jobs(args))
+    stats.write_stats(table, args.out)
+
+
+def _cmd_rank(args: argparse.Namespace) -> None:
+    modes = sum([args.by is not None, args.scatter, args.overlap is not None])
     if modes != 1:
         raise UsageError("choose exactly one of --by, --scatter, --overlap")
-    table = stats.read_stats(config.stats_path)
-    if config.by is not None:
-        ranking.write_ranked_list(ranking.ranked_by(table, config.by), config.out)
+    table = stats.read_stats(args.stats_path)
+    if args.by is not None:
+        ranking.write_ranked_list(ranking.ranked_by(table, args.by), args.out)
         return
-    if config.scatter:
-        ranking.write_rank_scatter(ranking.align_ranks(table), config.out)
+    if args.scatter:
+        ranking.write_rank_scatter(ranking.align_ranks(table), args.out)
         return
-    lo, hi = config.overlap
+    lo, hi = args.overlap
     by_tc = ranking.ranked_by(table, "tc")
     by_df = ranking.ranked_by(table, "df")
     counts = ranking.ranking_overlap(by_tc, by_df, lo, hi)
-    if config.format == "json":
-        _write_json(
-            {
-                "from_rank": lo,
-                "to_rank": hi,
-                "union": counts.union_size,
-                "intersection": counts.intersection_size,
-            },
-            config.out,
-        )
-    else:
-        _write_tsv_rows(
-            [
-                ("from_rank", lo),
-                ("to_rank", hi),
-                ("union", counts.union_size),
-                ("intersection", counts.intersection_size),
-            ],
-            config.out,
-        )
+    rows = [
+        ("from_rank", lo),
+        ("to_rank", hi),
+        ("union", counts.union_size),
+        ("intersection", counts.intersection_size),
+    ]
+    _write_report(rows, args.out, args.format)
 
 
 def _report_rows(report: correlation.CorrelationReport) -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = [
         ("n", report.n),
-        ("spearman_rho", repr(report.spearman_rho)),
-        ("kendall_tau_a", repr(report.kendall_tau_a)),
-        ("kendall_tau_b", repr(report.kendall_tau_b)),
-        ("rho_estimated_from_tau", repr(report.rho_estimated_from_tau)),
-        ("p_value_rho", repr(report.p_value_rho)),
+        ("spearman_rho", report.spearman_rho),
+        ("kendall_tau_a", report.kendall_tau_a),
+        ("kendall_tau_b", report.kendall_tau_b),
+        ("rho_estimated_from_tau", report.rho_estimated_from_tau),
+        ("p_value_rho", report.p_value_rho),
         ("concordant", report.concordant),
         ("discordant", report.discordant),
         ("ties_x", report.ties_x),
@@ -319,123 +258,112 @@ def _report_rows(report: correlation.CorrelationReport) -> list[tuple[str, objec
         ("ties_xy", report.ties_xy),
     ]
     if report.spearman_rho_shortcut is not None:
-        rows.append(("spearman_rho_shortcut", repr(report.spearman_rho_shortcut)))
+        rows.append(("spearman_rho_shortcut", report.spearman_rho_shortcut))
     return rows
 
 
-def _cmd_correlate(config: RunConfig) -> None:
-    if bool(config.checkpoints) != (config.curve_out is not None):
+def _cmd_correlate(args: argparse.Namespace) -> None:
+    if bool(args.checkpoints) != (args.curve_out is not None):
         raise UsageError("--curve-out and --checkpoints go together")
-    tc, df, _ = stats.read_stats_columns(config.stats_path)
-    if config.fractional:
+    tc, df, _ = stats.read_stats_columns(args.stats_path)
+    if args.fractional:
         x = correlation.fractional_rank(tc)
         y = correlation.fractional_rank(df)
     else:
         x = ranking.rank_values(tc)
         y = ranking.rank_values(df)
-    report = correlation.correlation_report(x, y, diagnostic_shortcut=config.diagnostic)
-    if config.format == "json":
-        payload = {key: value for key, value in _report_rows(report)}
-        # undo the repr stringification for JSON, which has real floats
-        for key, value in list(payload.items()):
-            if isinstance(value, str):
-                payload[key] = float(value)
-        _write_json(payload, config.out)
-    else:
-        _write_tsv_rows(_report_rows(report), config.out)
-    if config.curve_out is not None:
+    report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic)
+    _write_report(_report_rows(report), args.out, args.format)
+    if args.curve_out is not None:
         order = np.lexsort((y, x))
-        points = correlation.prefix_correlation_curve(x[order], y[order], config.checkpoints)
-        correlation.write_curve(points, config.curve_out)
+        points = correlation.prefix_correlation_curve(x[order], y[order], args.checkpoints)
+        correlation.write_curve(points, args.curve_out)
 
 
-def _cmd_ratio(config: RunConfig) -> None:
-    table = stats.read_stats(config.stats_path)
-    if config.rounding == "all":
+def _cmd_ratio(args: argparse.Namespace) -> None:
+    table = stats.read_stats(args.stats_path)
+    if args.rounding == "all":
         roundings = list(ratio.Rounding)
     else:
-        roundings = [ratio.Rounding(config.rounding)]
+        roundings = [ratio.Rounding(args.rounding)]
     for mode in roundings:
         hist = ratio.ratio_histogram(table, mode)
-        ratio.write_histogram(hist, Path(f"{config.out_prefix}.{mode.value}.tsv"))
-        ratio.write_ratio_summary(hist, Path(f"{config.out_prefix}.{mode.value}.summary.tsv"))
+        ratio.write_histogram(hist, Path(f"{args.out_prefix}.{mode.value}.tsv"))
+        ratio.write_ratio_summary(hist, Path(f"{args.out_prefix}.{mode.value}.summary.tsv"))
 
 
-def _cmd_ffreq(config: RunConfig) -> None:
+def _cmd_ffreq(args: argparse.Namespace) -> None:
     sources = [
-        ("--stats", config.stats_path),
-        ("--freq-list", config.freq_list),
-        ("--ngram", config.ngram),
+        ("--stats", args.stats_path),
+        ("--freq-list", args.freq_list),
+        ("--ngram", args.ngram),
     ]
     given = [(flag, path) for flag, path in sources if path is not None]
     if len(given) != 1:
         raise UsageError("choose exactly one of --stats, --freq-list, --ngram")
     flag, path = given[0]
     if flag == "--stats":
-        histogram = stats.frequency_of_frequencies(stats.read_stats(path), config.which)
+        histogram = stats.frequency_of_frequencies(stats.read_stats(path), args.which)
     else:
-        if config.which != "tc":
+        if args.which != "tc":
             raise UsageError(f"--which df needs a stats table, not {flag}")
         if flag == "--freq-list":
-            entries = parse_frequency_list(path, keep_lemmatized=config.keep_lemmatized)
+            entries = parse_frequency_list(path, keep_lemmatized=args.keep_lemmatized)
         else:
-            entries = parse_ngram_counts(path, min_count=config.min_count)
+            entries = parse_ngram_counts(path, min_count=args.min_count)
         histogram = stats.frequency_of_frequencies(entries, "tc")
-    if config.format == "json":
-        _write_json({str(count): histogram[count] for count in histogram}, config.out)
-    else:
-        _write_tsv_rows(
-            [(count, histogram[count]) for count in sorted(histogram)], config.out
-        )
+    _write_report(sorted(histogram.items()), args.out, args.format)
 
 
-def _load_docs(config: RunConfig) -> list[Document]:
-    if not config.docs:
+def _load_docs(args: argparse.Namespace) -> list[Document]:
+    if not args.docs:
         raise UsageError("at least one --doc is required")
+    tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
     docs = []
-    tok = config.tokenizer()
-    for path in config.docs:
-        docs.append(Document(Path(path).stem, tokenize(Path(path).read_text("utf-8"), tok)))
+    for path in args.docs:
+        with open_utf8(path) as fh:
+            text = fh.read()
+        docs.append(Document(path.stem, tokenize(text, tokenizer)))
     return docs
 
 
-def _background_model(config: RunConfig) -> lexsig.BackgroundModel:
-    if (config.stats_path is None) == (config.freq_list is None):
+def _background_model(args: argparse.Namespace) -> lexsig.BackgroundModel:
+    if (args.stats_path is None) == (args.freq_list is None):
         raise UsageError("choose exactly one of --stats, --freq-list")
-    if config.stats_path is not None:
-        table = stats.read_stats(config.stats_path)
-        mode = lexsig.DfMode.TC_AS_DF if config.tc_as_df else lexsig.DfMode.MEASURED_DF
-        return lexsig.model_from_table(table, mode, config.n_hat)
-    if config.n_hat is None:
+    if args.stats_path is not None:
+        table = stats.read_stats(args.stats_path)
+        mode = lexsig.DfMode.TC_AS_DF if args.tc_as_df else lexsig.DfMode.MEASURED_DF
+        return lexsig.model_from_table(table, mode, args.n_hat)
+    if args.n_hat is None:
         raise UsageError("--freq-list models need --n-hat (lists carry no document count)")
-    entries = parse_frequency_list(config.freq_list, keep_lemmatized=config.keep_lemmatized)
-    return lexsig.model_from_entries(entries, config.n_hat)
+    entries = parse_frequency_list(args.freq_list, keep_lemmatized=args.keep_lemmatized)
+    return lexsig.model_from_entries(entries, args.n_hat)
 
 
-def _cmd_lexsig(config: RunConfig) -> None:
-    docs = _load_docs(config)
-    model = _background_model(config)
-    signatures = [lexsig.lexical_signature(d, model, config.k, config.normalized_tf) for d in docs]
-    if config.format == "json":
+def _cmd_lexsig(args: argparse.Namespace) -> None:
+    docs = _load_docs(args)
+    model = _background_model(args)
+    signatures = [lexsig.lexical_signature(d, model, args.k, args.normalized_tf) for d in docs]
+    if args.format == "json":
         payload = {
             sig.doc_id: [[term, weight] for term, weight in sig.terms] for sig in signatures
         }
-        _write_json(payload, config.out)
+        _write_json(payload, args.out)
     else:
         rows = []
         for sig in signatures:
             for term, weight in sig.terms:
                 rows.append((sig.doc_id, term, repr(weight)))
-        _write_tsv_rows(rows, config.out)
+        _write_tsv_rows(rows, args.out)
 
 
-def _cmd_compare_sig(config: RunConfig) -> None:
-    docs = _load_docs(config)
-    table = stats.read_stats(config.stats_path)
-    measured = lexsig.model_from_table(table, lexsig.DfMode.MEASURED_DF, config.n_hat)
-    proxy = lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, config.n_hat)
-    rows = lexsig.compare_signatures(docs, measured, proxy, config.k, config.normalized_tf)
-    if config.format == "json":
+def _cmd_compare_sig(args: argparse.Namespace) -> None:
+    docs = _load_docs(args)
+    table = stats.read_stats(args.stats_path)
+    measured = lexsig.model_from_table(table, lexsig.DfMode.MEASURED_DF, args.n_hat)
+    proxy = lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
+    rows = lexsig.compare_signatures(docs, measured, proxy, args.k, args.normalized_tf)
+    if args.format == "json":
         payload = [
             {
                 "doc": r.doc_id,
@@ -447,7 +375,7 @@ def _cmd_compare_sig(config: RunConfig) -> None:
             }
             for r in rows
         ]
-        _write_json(payload, config.out)
+        _write_json(payload, args.out)
     else:
         _write_tsv_rows(
             [
@@ -461,43 +389,31 @@ def _cmd_compare_sig(config: RunConfig) -> None:
                 )
                 for r in rows
             ],
-            config.out,
+            args.out,
         )
 
 
-def _cmd_bench(config: RunConfig) -> None:
-    kernels = ["naive", "fast"] if config.kernel == "both" else [config.kernel]
+def _cmd_bench(args: argparse.Namespace) -> None:
+    kernels = ["naive", "fast"] if args.kernel == "both" else [args.kernel]
     for kernel in kernels:
         curve = bench_mod.time_kernel(
             kernel,
-            config.sizes,
-            trials=config.trials,
-            seed=config.seed,
-            budget_seconds=config.budget,
+            args.sizes,
+            trials=args.trials,
+            seed=args.seed,
+            budget_seconds=args.budget,
         )
         if curve.fit is not None:
-            for target in config.extrapolate:
+            for target in args.extrapolate:
                 bench_mod.extrapolate(curve, target)
-        bench_mod.write_curve(curve, Path(f"{config.out_prefix}.{kernel}.tsv"))
-
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "rank": _cmd_rank,
-    "correlate": _cmd_correlate,
-    "ratio": _cmd_ratio,
-    "ffreq": _cmd_ffreq,
-    "lexsig": _cmd_lexsig,
-    "compare-sig": _cmd_compare_sig,
-    "bench": _cmd_bench,
-}
+        bench_mod.write_curve(curve, Path(f"{args.out_prefix}.{kernel}.tsv"))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run(config_from_args(args))
+        args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,9 +9,10 @@ distinct sources can be parsed concurrently.
 from __future__ import annotations
 
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError, ValidationError
 
@@ -56,6 +57,28 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
         if tok:
             tokens.append(tok)
     return tokens
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text; a byte that does not decode raises
+    ParseError naming the first line that is not valid UTF-8.
+
+    The line is found by re-reading the file as bytes, one line at a time:
+    the text decoder works on chunks, so the reader's own line counter may
+    still be several lines short of the bad byte when the error fires.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(path, line_no, "not valid UTF-8") from None
+        raise
 
 
 @dataclass
@@ -103,7 +126,9 @@ def read_corpus(
 def _read_directory(path: Path, cfg: TokenizerConfig) -> Iterator[Document]:
     for file in sorted(path.glob("*.txt")):
         if file.is_file():
-            yield Document(file.stem, tokenize(file.read_text(encoding="utf-8"), cfg))
+            with open_utf8(file) as fh:
+                text = fh.read()
+            yield Document(file.stem, tokenize(text, cfg))
 
 
 def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[Document]:
@@ -113,7 +138,7 @@ def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[D
     segment: list[str] = []
     ended_on_separator = False
     saw_any_line = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             saw_any_line = True
             line = raw.rstrip("\n")
@@ -186,7 +211,7 @@ def _parse_count_rows(
 ) -> Iterator[FrequencyListEntry]:
     layout = "term<TAB>count<TAB>[L]" if lemma_field else "token<TAB>count"
     seen: set[tuple[str, bool]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -206,7 +231,10 @@ def _parse_count_rows(
                 raise ParseError(path, line_no, "empty term")
             if not (count_text.isascii() and count_text.isdigit()):
                 raise ParseError(path, line_no, f"count is not a plain integer: {count_text!r}")
-            count = int(count_text)
+            try:
+                count = int(count_text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(path, line_no, "a count has too many digits") from None
             if count < 1:
                 raise ParseError(path, line_no, f"count must be >= 1, got {count}")
             if count > MAX_COUNT:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import MAX_COUNT, Document
+from .ingest import MAX_COUNT, Document, open_utf8
 
 _SHARD_SIZE = 256  # documents per worker batch when jobs > 1
 
@@ -231,7 +231,7 @@ def read_stats(path) -> TermStatsTable:
     df_col = array.array("q")
     prev = ""  # sorts before every term, which is non-empty
     seen: set[str] | None = None  # built once rows stop being ascending
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#N="):
             raise ParseError(path, 1, "missing #N=<doc_count> header")

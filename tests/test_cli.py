@@ -310,9 +310,39 @@ class TestBench:
             assert any(line.startswith("#fit exponent=") for line in lines)
             assert any(line.startswith("#extrapolate 10000\t") for line in lines)
 
-    def test_bad_sizes_are_usage_error(self, tmp_path):
-        assert main(["bench", "--sizes", "ten,20",
-                     "--out-prefix", str(tmp_path / "b")]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--sizes", "ten,20", "--out-prefix", "{out}/b"],
+        ["correlate", "--stats", "{stats}", "--out", "{out}/r.tsv",
+         "--curve-out", "{out}/c.tsv", "--checkpoints", "10,x"],
+    ])
+    def test_bad_sizes_are_usage_error(self, argv, song_stats_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [arg.format(out=out, stats=song_stats_file) for arg in argv]
+        assert main(argv) == 1
+        assert "expects comma-separated integers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestReportFormats:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--overlap", "1", "2"],
+        ["correlate", "--diagnostic"],
+        ["ffreq"],
+    ])
+    def test_json_object_holds_the_tsv_rows(self, argv, song_stats_file, tmp_path):
+        argv = [argv[0], "--stats", str(song_stats_file), *argv[1:]]
+        tsv, js = tmp_path / "r.tsv", tmp_path / "r.json"
+        run_ok(argv + ["--out", str(tsv)])
+        run_ok(argv + ["--out", str(js), "--format", "json"])
+        rows = dict(line.split("\t") for line in tsv.read_text(encoding="utf-8").splitlines())
+        payload = json.loads(js.read_text(encoding="utf-8"))
+        assert sorted(payload) == sorted(rows)
+        for key, value in payload.items():
+            if isinstance(value, int):
+                assert rows[key] == str(value)
+            else:
+                assert float(rows[key]) == value
 
 
 class TestExitCodes:
@@ -346,6 +376,7 @@ BAD_ROWS = {
     "non_ascii_digit": ("x\t \u0663\t1", "tc is not a plain integer: ' \u0663'"),
     "above_int64": (f"x\t{2**63}\t1", "tc exceeds 2**63 - 1"),
     "too_many_digits": ("x\t" + "1" * 5000 + "\t1", "a count has too many digits"),
+    "non_utf8": (b"x\xe9\t3\t1", "not valid UTF-8"),
 }
 
 TABLE_READERS = {
@@ -366,7 +397,9 @@ class TestOneStrictReader:
     def test_malformed_row_is_the_same_data_error_everywhere(self, command, case, tmp_path, capsys):
         row, message = BAD_ROWS[case]
         stats = tmp_path / "bad.stats"
-        stats.write_text(f"#N=5\na\t2\t1\n{row}\n", encoding="utf-8")
+        if isinstance(row, str):
+            row = row.encode("utf-8")
+        stats.write_bytes(b"#N=5\na\t2\t1\n" + row + b"\n")
         doc = tmp_path / "d.txt"
         doc.write_text("a b\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -375,6 +408,35 @@ class TestOneStrictReader:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {stats}:3: {message}\n"
+        assert list(out.iterdir()) == []
+
+
+# Valid rows on lines 1-2 and a Latin-1 byte on line 3. The text decoder
+# reads in chunks, so it trips over the byte while the reader is on line 1.
+UNDECODABLE = b"a\t5\nb\t2\nx\xe9\t3\n"
+
+UTF8_READERS = {
+    "count_directory": ("corpus/b.txt", lambda bad, tmp: ["count", "--corpus", bad.parent]),
+    "count_stream": ("stream.txt", lambda bad, tmp: ["count", "--corpus", bad]),
+    "ffreq_freq_list": ("list.tsv", lambda bad, tmp: ["ffreq", "--freq-list", bad]),
+    "lexsig_doc": ("doc.txt", lambda bad, tmp: ["lexsig", "--doc", bad, "--stats", tmp / "good.stats"]),
+}
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("case", sorted(UTF8_READERS))
+    def test_non_utf8_is_a_data_error_naming_the_line(self, case, tmp_path, capsys):
+        name, make_argv = UTF8_READERS[case]
+        bad = tmp_path / name
+        bad.parent.mkdir(exist_ok=True)
+        (bad.parent / "a.txt").write_text("a b\n", encoding="utf-8")
+        bad.write_bytes(UNDECODABLE)
+        (tmp_path / "good.stats").write_text("#N=5\na\t2\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main([str(arg) for arg in make_argv(bad, tmp_path) + ["--out", out / "o"]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8\n"
         assert list(out.iterdir()) == []
 
 

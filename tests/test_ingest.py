@@ -184,6 +184,11 @@ class TestParseFrequencyList:
         path = self._write(tmp_path, f"x\t{2**63}\n")
         with pytest.raises(ParseError):
             list(parse_frequency_list(path))
+        # more digits than int() converts: a ParseError, not int()'s ValueError
+        path = self._write(tmp_path, "x\t" + "1" * 5000 + "\n")
+        for parse in (parse_frequency_list, parse_ngram_counts):
+            with pytest.raises(ParseError, match=":1: a count has too many digits"):
+                list(parse(path))
         path2 = self._write(tmp_path, f"x\t{2**63 - 1}\n")
         assert list(parse_frequency_list(path2))[0].count == 2**63 - 1
 
