@@ -17,6 +17,7 @@ import numpy as np
 
 from .correlation import kendall_tau_fast, kendall_tau_naive
 from .errors import ValidationError
+from .ingest import write_utf8
 
 KERNELS = {
     "naive": kendall_tau_naive,
@@ -147,7 +148,7 @@ def extrapolate(curve: TimingCurve, target_n: int) -> float:
 
 def write_curve(curve: TimingCurve, path) -> None:
     """Export ``n<TAB>seconds`` rows, then the fit and projections stanza."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for p in curve.points:
             fh.write(f"{p.n}\t{p.seconds!r}\n")
         if curve.fit is not None:

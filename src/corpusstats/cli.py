@@ -34,6 +34,7 @@ from .ingest import (
     parse_ngram_counts,
     read_corpus,
     tokenize,
+    write_utf8,
 )
 
 JOBS_ENV_VAR = "CORPUSSTATS_JOBS"
@@ -192,13 +193,13 @@ def _effective_jobs(args: argparse.Namespace) -> int:
 
 
 def _write_json(payload, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
 
 
 def _write_tsv_rows(rows, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for row in rows:
             fh.write("\t".join(str(cell) for cell in row))
             fh.write("\n")

@@ -32,9 +32,9 @@ from functools import lru_cache
 from itertools import islice, permutations
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import DegenerateInputError, ValidationError
+from .ingest import write_utf8
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -380,8 +380,12 @@ def rho_significance(rho: float, n: int, method: str = "auto") -> float:
         if denom <= 0.0:
             p = 0.0
         else:
+            # The one use of scipy, imported here so that no other call pays
+            # for loading it. scipy.stats.t.sf(|t|, df) is stdtr(df, -|t|).
+            from scipy.special import stdtr
+
             t = r * math.sqrt((n - 2) / denom)
-            p = 2.0 * float(_sps.t.sf(abs(t), n - 2))
+            p = 2.0 * float(stdtr(n - 2, -abs(t)))
     else:
         raise ValidationError(f"method must be 'auto', 'exact', or 'approx', got {method!r}")
     return max(min(p, 1.0), P_VALUE_FLOOR)
@@ -467,6 +471,6 @@ def correlation_report(x, y, diagnostic_shortcut: bool = False) -> CorrelationRe
 
 def write_curve(points: list[CurvePoint], path) -> None:
     """Export ``checkpoint<TAB>rho<TAB>tau_b`` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for p in points:
             fh.write(f"{p.checkpoint}\t{p.rho!r}\t{p.tau_b!r}\n")

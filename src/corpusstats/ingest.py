@@ -8,6 +8,7 @@ distinct sources can be parsed concurrently.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,9 +50,15 @@ def _strip_edges(token: str) -> str:
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into normalized tokens. Pure and deterministic."""
     cfg = config or TokenizerConfig()
+    strip = cfg.strip_edge_punctuation
     tokens = []
     for raw in text.split():
-        tok = _strip_edges(raw) if cfg.strip_edge_punctuation else raw
+        # No character is both alphanumeric and punctuation (category P*),
+        # so a token with alphanumeric ends has nothing to strip.
+        if strip and not (raw[0].isalnum() and raw[-1].isalnum()):
+            tok = _strip_edges(raw)
+        else:
+            tok = raw
         if cfg.lowercase:
             tok = tok.lower()
         if tok:
@@ -78,6 +85,26 @@ def open_utf8(path) -> Iterator[TextIO]:
                     raw.decode("utf-8")
                 except UnicodeDecodeError:
                     raise ParseError(path, line_no, "not valid UTF-8") from None
+        raise
+
+
+@contextmanager
+def write_utf8(path) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text with LF line ends, all or nothing.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` only when the ``with`` block ends without an exception. On any
+    exception the temporary file is removed, so a failed or interrupted
+    write leaves neither a partial file nor a changed one at ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -257,7 +284,7 @@ def write_frequency_list(entries: Iterable[FrequencyListEntry], path) -> None:
     Entries are written in the order given; parse -> write -> parse is
     lossless for the entry sequence.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for entry in entries:
             if "\t" in entry.term or "\n" in entry.term:
                 raise ValidationError(f"term contains a tab or newline: {entry.term!r}")

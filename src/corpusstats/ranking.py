@@ -13,6 +13,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .ingest import write_utf8
 from .stats import TermStatsTable
 
 
@@ -173,7 +174,7 @@ def align_ranks(table: TermStatsTable) -> AlignedRanks:
 
 def write_ranked_list(ranked: RankedList, path) -> None:
     """Export ``term<TAB>value<TAB>rank`` rows in presentation order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for term, value, rank in ranked:
             fh.write(f"{term}\t{value}\t{rank}\n")
 
@@ -185,6 +186,6 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     scatter plot of the two rankings needs.
     """
     order = np.lexsort((aligned.df_ranks, aligned.tc_ranks))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for i in order:
             fh.write(f"{aligned.tc_ranks[i]}\t{aligned.df_ranks[i]}\n")

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
+from .ingest import write_utf8
 from .stats import TermStatsTable
 
 
@@ -112,14 +113,14 @@ def write_histogram(hist: RatioHistogram, path) -> None:
     (1.50 under two_decimals, 1.5 under one_decimal, 2 under integer).
     """
     fmt = _KEY_FORMATS[hist.rounding]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         for key in sorted(hist.bins):
             fh.write(f"{fmt.format(key)}\t{hist.bins[key]}\n")
 
 
 def write_ratio_summary(hist: RatioHistogram, path) -> None:
     """Export the rounding-independent summary plus the modal bin."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         fh.write(f"mean\t{hist.mean!r}\n")
         fh.write(f"stddev\t{hist.stddev!r}\n")
         fh.write(f"median\t{hist.median!r}\n")

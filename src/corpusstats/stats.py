@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import MAX_COUNT, Document, open_utf8
+from .ingest import MAX_COUNT, Document, open_utf8, write_utf8
 
 _SHARD_SIZE = 256  # documents per worker batch when jobs > 1
 
@@ -208,7 +208,7 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
     tc, df = table.count_arrays()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_utf8(path) as fh:
         fh.write(f"#N={table.doc_count}\n")
         for term, tc_i, df_i in zip(table.terms(), tc.tolist(), df.tolist()):
             if "\t" in term or "\n" in term:

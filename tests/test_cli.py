@@ -1,10 +1,15 @@
 """End-to-end runs of every subcommand through main(), plus exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from corpusstats import read_stats
+import corpusstats
+from corpusstats import ranking, read_stats
 from corpusstats.cli import main
 from conftest import SONG_TITLES
 
@@ -366,6 +371,23 @@ class TestExitCodes:
         assert main(["count", "--corpus", str(song_corpus_dir),
                      "--out", str(tmp_path / "no" / "such" / "dir.tsv")]) == 3
 
+    def test_failed_write_keeps_the_old_output(self, song_stats_file, tmp_path, monkeypatch):
+        ranked_by = ranking.ranked_by
+
+        def disk_full_after_one_row(table, by):
+            yield from list(ranked_by(table, by))[:1]
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ranking, "ranked_by", disk_full_after_one_row)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "ranked.tsv"
+        out.write_bytes(b"old output\n")
+        assert main(["rank", "--stats", str(song_stats_file), "--by", "tc",
+                     "--out", str(out)]) == 3
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_bytes() == b"old output\n"
+
 
 # One malformed row in an otherwise valid table, and the message every
 # subcommand must report for it (the row sits on line 3).
@@ -447,3 +469,59 @@ class TestDeterminism:
         run_ok(["count", "--corpus", str(song_corpus_dir), "--out", str(first)])
         run_ok(["count", "--corpus", str(song_corpus_dir), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+# Each call runs in a fresh interpreter, which prints its exit code and the
+# scipy modules that the call loaded.
+PROBE = """
+import json, sys
+from corpusstats.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+SRC = Path(corpusstats.__file__).resolve().parents[1]
+
+SCIPY_FREE = {
+    "count": lambda corpus, stats, doc, out: ["count", "--corpus", corpus, "--out", out / "o"],
+    "rank": lambda corpus, stats, doc, out: ["rank", "--stats", stats, "--by", "tc",
+                                             "--out", out / "o"],
+    "ratio": lambda corpus, stats, doc, out: ["ratio", "--stats", stats, "--out-prefix", out / "o"],
+    "ffreq": lambda corpus, stats, doc, out: ["ffreq", "--stats", stats, "--out", out / "o"],
+    "lexsig": lambda corpus, stats, doc, out: ["lexsig", "--stats", stats, "--doc", doc,
+                                               "--out", out / "o"],
+    "compare_sig": lambda corpus, stats, doc, out: ["compare-sig", "--stats", stats, "--doc", doc,
+                                                    "--out", out / "o"],
+    "bench": lambda corpus, stats, doc, out: ["bench", "--kernel", "both", "--sizes", "50,100",
+                                              "--trials", "1", "--out-prefix", out / "o"],
+}
+
+
+def run_fresh(argv) -> tuple[int, list[str]]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps([str(arg) for arg in argv])],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    code, loaded = json.loads(proc.stdout)
+    return code, loaded
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("command", sorted(SCIPY_FREE))
+    def test_subcommand_loads_no_scipy(self, command, song_corpus_dir, song_stats_file, tmp_path):
+        doc = song_corpus_dir / "d1.txt"
+        out = tmp_path / "out"
+        out.mkdir()
+        code, loaded = run_fresh(SCIPY_FREE[command](song_corpus_dir, song_stats_file, doc, out))
+        assert code == 0
+        assert loaded == []
+
+    def test_correlate_loads_scipy_special_only(self, song_stats_file, tmp_path):
+        # twelve terms: above the exact-null limit of 10, so the p-value
+        # comes from the t approximation
+        code, loaded = run_fresh(["correlate", "--stats", song_stats_file,
+                                  "--out", tmp_path / "r.tsv"])
+        assert code == 0
+        assert "scipy.special" in loaded
+        assert [m for m in loaded if m.startswith("scipy.stats")] == []

@@ -190,6 +190,17 @@ class TestKendallKernels:
             want = sps.kendalltau(x, y).statistic
             assert abs(c.tau_b - want) <= 1e-12
 
+    def test_against_scipy_at_one_million(self):
+        # a third tau-b oracle at a size the naive kernel cannot reach;
+        # about 3,000 distinct x values and 1,200 distinct y values
+        rng = np.random.default_rng(2008)
+        n = 1_000_000
+        x = rng.integers(0, 3000, n)
+        y = x // 3 + rng.integers(0, 200, n)
+        got = kendall_tau_fast(x, y).tau_b
+        want = sps.kendalltau(x, y).statistic
+        assert abs(got - want) <= 1e-12
+
     def test_naive_block_size_is_irrelevant(self):
         rng = np.random.default_rng(13)
         x, y = random_tied_pairs(rng, max_n=120)
@@ -294,6 +305,18 @@ class TestRhoSignificance:
         t = rho * math.sqrt((n - 2) / (1 - rho * rho))
         want = 2 * float(sps.t.sf(t, n - 2))
         assert rho_significance(rho, n, method="approx") == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [11, 30, 1_000, 82_160, 11_300_000])
+    def test_approx_is_the_t_tail_bit_for_bit(self, n):
+        # the correlate report prints repr(p), so its bytes depend on every bit;
+        # half the grid is on the t scale, where p is above the 2.2e-16 floor
+        rng = np.random.default_rng(n)
+        t_scale = np.clip(rng.uniform(-8.0, 8.0, 100) / math.sqrt(n), -0.999, 0.999)
+        grid = np.concatenate((rng.uniform(-1.0, 1.0, 100), t_scale, [0.0, 0.8, -0.8, 1e-9]))
+        for r in grid.tolist():
+            t = r * math.sqrt((n - 2) / (1 - r * r))
+            want = max(min(2 * float(sps.t.sf(abs(t), n - 2)), 1.0), 2.2e-16)
+            assert rho_significance(r, n, method="approx") == want, (r, n)
 
     def test_exact_and_approx_stay_close_at_the_boundary(self):
         for rho in (0.3, 0.6, 0.9):

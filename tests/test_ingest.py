@@ -1,5 +1,8 @@
 """Tokenizer, corpus readers, and frequency-list parsers."""
 
+import sys
+import unicodedata
+
 import pytest
 
 from corpusstats import (
@@ -14,6 +17,10 @@ from corpusstats import (
     tokenize,
     write_frequency_list,
 )
+from corpusstats.ingest import _strip_edges, write_utf8
+
+ALL_CODE_POINTS = range(sys.maxunicode + 1)
+PUNCTUATION = [chr(c) for c in ALL_CODE_POINTS if unicodedata.category(chr(c)).startswith("P")]
 
 
 class TestTokenize:
@@ -49,6 +56,29 @@ class TestTokenize:
     def test_unicode_punctuation_categories(self):
         # em-dash and guillemets are category P*, so they strip
         assert tokenize("«word» —") == ["word"]
+
+    def test_no_code_point_is_alphanumeric_and_punctuation(self):
+        # the fast path of tokenize, which skips stripping a token whose
+        # ends are alphanumeric, is exact only while this set is empty
+        assert [c for c in PUNCTUATION if c.isalnum()] == []
+
+    @pytest.mark.parametrize("config", [
+        TokenizerConfig(),
+        TokenizerConfig(lowercase=False),
+    ], ids=["lowercase", "keep_case"])
+    def test_fast_path_matches_stripping_every_token(self, config):
+        words = ["Word", "ß", "Ǆ9", "٣x", "Σ"]
+        for c in PUNCTUATION:
+            for word in words:
+                text = f"{c}{word} {word}{c} {c}{word}{c} {c} {word}{c}{word}"
+                expected = []
+                for raw in text.split():
+                    tok = _strip_edges(raw)
+                    if config.lowercase:
+                        tok = tok.lower()
+                    if tok:
+                        expected.append(tok)
+                assert tokenize(text, config) == expected, repr(text)
 
 
 class TestReadCorpusDirectory:
@@ -253,3 +283,36 @@ class TestParseNgramCounts:
         path = self._write(tmp_path, "a\t1\n")
         with pytest.raises(ValidationError):
             list(parse_ngram_counts(path, min_count=-1))
+
+
+class TestWriteUtf8:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new_target", "old_target"])
+    def test_failed_write_leaves_the_target_as_it_was(self, error, old, tmp_path):
+        target = tmp_path / "out.tsv"
+        if old is not None:
+            target.write_bytes(old)
+        with pytest.raises(error):
+            with write_utf8(target) as fh:
+                fh.write("partial\n")
+                fh.flush()
+                raise error()
+        if old is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [target]
+            assert target.read_bytes() == old
+
+    def test_writer_raising_partway_leaves_no_file(self, tmp_path):
+        target = tmp_path / "list.tsv"
+        entries = [FrequencyListEntry("a", 1), FrequencyListEntry("b\tc", 2)]
+        with pytest.raises(ValidationError):
+            write_frequency_list(entries, target)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_the_target(self, tmp_path):
+        target = tmp_path / "list.tsv"
+        target.write_bytes(b"old\t9\n")
+        write_frequency_list([FrequencyListEntry("caf\u00e9", 2)], target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == "caf\u00e9\t2\n".encode("utf-8")
