@@ -4,7 +4,7 @@ The package is organized as a pipeline of small modules:
 
 - ingest: tokenization, corpora, frequency lists
 - stats: tc/df counting and the stats-table file format
-- ranking: competition ranks, overlap windows, rank alignment
+- ranking: competition ranks, mid-ranks, overlap windows, rank alignment
 - correlation: Spearman rho, Kendall tau (naive and fast), significance
 - ratio: tc/df ratio histograms
 - lexsig: tf-idf lexical signatures, measured df vs tc-as-df proxy
@@ -44,6 +44,7 @@ from .ranking import (
     OverlapCounts,
     RankedList,
     align_ranks,
+    fractional_rank,
     rank_values,
     ranked_by,
     ranking_overlap,
@@ -56,7 +57,6 @@ from .correlation import (
     CurvePoint,
     KendallCounts,
     correlation_report,
-    fractional_rank,
     kendall_tau_fast,
     kendall_tau_naive,
     prefix_correlation_curve,

@@ -51,11 +51,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _comma_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
+        if all(a < b for a, b in zip(values, values[1:])):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects comma-separated integers, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expects comma-separated integers in ascending order, got {text!r}"
+    )
+
+
+def _above(low: int, convert=int):
+    """argparse type: a number, parsed by ``convert``, greater than ``low``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if value > low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {convert.__name__} > {low}, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separator", default=DEFAULT_SEPARATOR,
                    help="document separator line for stream mode")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker threads (default: ${JOBS_ENV_VAR} or 1)")
+                   help=f"counting threads (default: ${JOBS_ENV_VAR} or 1); output is "
+                        "identical for any N, and N > 1 is not faster today")
     add_tokenizer_flags(p)
 
     p = sub.add_parser("rank", help="rank a stats table's terms")
@@ -122,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ngram", type=Path)
     p.add_argument("--which", choices=["tc", "df"], default="tc",
                    help="which stats column to histogram (stats input only)")
-    p.add_argument("--min-count", type=int, default=0, dest="min_count",
+    p.add_argument("--min-count", type=_above(-1), default=0, dest="min_count",
                    help="drop n-gram rows below this count")
     p.add_argument("--keep-lemmatized", action="store_true", dest="keep_lemmatized")
     p.add_argument("--out", required=True, type=Path)
@@ -136,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="background model from a stats table")
     p.add_argument("--freq-list", type=Path, dest="freq_list",
                    help="background model from a tc-only frequency list")
-    p.add_argument("--n-hat", type=int, dest="n_hat",
+    p.add_argument("--n-hat", type=_above(0), dest="n_hat",
                    help="document-count estimate behind the background counts")
     p.add_argument("--tc-as-df", action="store_true", dest="tc_as_df",
                    help="ignore measured df and use min(tc, n) instead")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_above(0), default=5)
     p.add_argument("--normalized-tf", action="store_true", dest="normalized_tf")
     p.add_argument("--keep-lemmatized", action="store_true", dest="keep_lemmatized")
     p.add_argument("--out", required=True, type=Path)
@@ -153,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc", action="append", type=Path, default=[], dest="docs",
                    required=True, help="document text file (repeatable)")
     p.add_argument("--stats", required=True, type=Path, dest="stats_path")
-    p.add_argument("--n-hat", type=int, dest="n_hat",
+    p.add_argument("--n-hat", type=_above(0), dest="n_hat",
                    help="document-count estimate for the proxy model")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_above(0), default=5)
     p.add_argument("--normalized-tf", action="store_true", dest="normalized_tf")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
@@ -166,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=["naive", "fast", "both"], default="both")
     p.add_argument("--sizes", type=_comma_ints, required=True,
                    help="comma-separated ascending sample sizes")
-    p.add_argument("--trials", type=int, default=bench_mod.DEFAULT_TRIALS)
-    p.add_argument("--budget", type=float, default=bench_mod.DEFAULT_BUDGET_SECONDS,
+    p.add_argument("--trials", type=_above(0), default=bench_mod.DEFAULT_TRIALS)
+    p.add_argument("--budget", type=_above(0, float), default=bench_mod.DEFAULT_BUDGET_SECONDS,
                    help="wall-clock budget per size cell, seconds")
-    p.add_argument("--extrapolate", action="append", type=int, default=[],
+    p.add_argument("--extrapolate", action="append", type=_above(0), default=[],
                    help="predict seconds at this n from the fit (repeatable)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-prefix", required=True, dest="out_prefix",
@@ -224,6 +243,8 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     modes = sum([args.by is not None, args.scatter, args.overlap is not None])
     if modes != 1:
         raise UsageError("choose exactly one of --by, --scatter, --overlap")
+    if args.overlap is not None and not 1 <= args.overlap[0] <= args.overlap[1]:
+        raise UsageError("--overlap needs 1 <= FROM <= TO")
     table = stats.read_stats(args.stats_path)
     if args.by is not None:
         ranking.write_ranked_list(ranking.ranked_by(table, args.by), args.out)
@@ -268,16 +289,18 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
         raise UsageError("--curve-out and --checkpoints go together")
     tc, df, _ = stats.read_stats_columns(args.stats_path)
     if args.fractional:
-        x = correlation.fractional_rank(tc)
-        y = correlation.fractional_rank(df)
+        x = ranking.fractional_rank(tc)
+        y = ranking.fractional_rank(df)
     else:
         x = ranking.rank_values(tc)
         y = ranking.rank_values(df)
     report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic)
-    _write_report(_report_rows(report), args.out, args.format)
+    points = None
     if args.curve_out is not None:
         order = np.lexsort((y, x))
         points = correlation.prefix_correlation_curve(x[order], y[order], args.checkpoints)
+    _write_report(_report_rows(report), args.out, args.format)
+    if points is not None:
         correlation.write_curve(points, args.curve_out)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .ingest import write_utf8
+from .ranking import _as_vector, _runs
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -43,24 +44,6 @@ P_VALUE_FLOOR = 2.2e-16
 EXACT_P_MAX_N = 10
 
 _NAIVE_BLOCK = 512
-
-
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional")
-    if arr.dtype.kind == "f":
-        if arr.size and not np.isfinite(arr).all():
-            raise ValidationError(f"{name} contains non-finite values")
-        return arr.astype(np.float64)
-    if arr.size and arr.dtype.kind == "u" and int(arr.max()) > 2**63 - 1:
-        raise ValidationError(f"{name} exceeds the int64 limit")
-    if arr.dtype.kind not in "iuO":
-        raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
-    try:
-        return arr.astype(np.int64)
-    except (OverflowError, TypeError, ValueError):
-        raise ValidationError(f"{name} must hold integers within int64 range") from None
 
 
 def _as_pair_vectors(x, y, min_n: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -104,28 +87,6 @@ def spearman_rho_shortcut(x, y) -> float:
     d = xv.astype(np.float64) - yv.astype(np.float64)
     ssd = float(np.dot(d, d))
     return 1.0 - 6.0 * ssd / (n * (float(n) * n - 1.0))
-
-
-def fractional_rank(values) -> np.ndarray:
-    """Mid-rank (average) ranks, descending: each tie group gets the mean
-    of the positions it occupies. Useful as an alternative re-ranking in
-    front of the correlation functions; rankings elsewhere in the package
-    stay competition-style.
-    """
-    v = _as_vector(values, "values")
-    n = v.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    order = np.argsort(-v, kind="stable")
-    sv = v[order]
-    change = np.flatnonzero(sv[1:] != sv[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [n]))
-    # mean of 1-based positions starts+1 .. ends
-    group_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
 
 
 @dataclass(frozen=True)
@@ -212,46 +173,30 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
 def kendall_tau_fast(x, y) -> KendallCounts:
     """Merge-sort pair counting, near O(n log n); handles tens of millions.
 
-    Sorts by (x, y), derives the tie counts from run lengths, and counts
-    discordant pairs as strict inversions of the y sequence. Produces
+    Codes x and y densely (their tie counts come with the codes), sorts
+    once on the combined key x_code * n_y + y_code, takes the pairs tied
+    in both from the runs of that sorted key, and counts discordant pairs
+    as strict inversions of y_code in that order (Knight 1966). Produces
     exactly the same KendallCounts as :func:`kendall_tau_naive`.
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
-    order = np.lexsort((yv, xv))
-    xs = xv[order]
-    ys = yv[order]
-    n0 = n * (n - 1) // 2
-    tie_x_all = _tied_pairs(xs)
-    tie_y_all = _tied_pairs(np.sort(yv, kind="stable"))
-    tie_xy = _tied_pairs_joint(xs, ys)
-    disc = _count_strict_inversions(_dense_codes(ys))
-    conc = n0 - tie_x_all - tie_y_all + tie_xy - disc
-    return _counts_to_taus(
-        n, int(conc), int(disc), int(tie_x_all - tie_xy), int(tie_y_all - tie_xy), int(tie_xy)
-    )
+    _, x_code, x_lengths = np.unique(xv, return_inverse=True, return_counts=True)
+    _, y_code, y_lengths = np.unique(yv, return_inverse=True, return_counts=True)
+    key = x_code * y_lengths.size + y_code
+    order = np.argsort(key)
+    _, xy_lengths = _runs(key[order])
+    tie_x = _tied_pairs(x_lengths)
+    tie_y = _tied_pairs(y_lengths)
+    tie_xy = _tied_pairs(xy_lengths)
+    disc = _count_strict_inversions(y_code[order])
+    conc = n * (n - 1) // 2 - tie_x - tie_y + tie_xy - disc
+    return _counts_to_taus(n, conc, disc, tie_x - tie_xy, tie_y - tie_xy, tie_xy)
 
 
-def _tied_pairs(sorted_vals: np.ndarray) -> int:
-    """Sum of L*(L-1)/2 over runs of equal values (input must be sorted)."""
-    n = sorted_vals.size
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    bounds = np.concatenate(([0], change + 1, [n]))
-    lengths = np.diff(bounds)
-    return int((lengths * (lengths - 1) // 2).sum())
-
-
-def _tied_pairs_joint(xs: np.ndarray, ys: np.ndarray) -> int:
-    n = xs.size
-    change = np.flatnonzero((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
-    bounds = np.concatenate(([0], change + 1, [n]))
-    lengths = np.diff(bounds)
-    return int((lengths * (lengths - 1) // 2).sum())
-
-
-def _dense_codes(values: np.ndarray) -> np.ndarray:
-    _, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int64)
+def _tied_pairs(run_lengths: np.ndarray) -> int:
+    """Sum of L*(L-1)/2 over runs of equal values of lengths L."""
+    return int((run_lengths * (run_lengths - 1) // 2).sum())
 
 
 def _count_strict_inversions(codes: np.ndarray) -> int:

@@ -2,7 +2,8 @@
 
 rank(item) = 1 + number of items with a strictly greater value, so tied
 values share the minimum rank of their group and the sequence looks like
-1, 2, 2, 4. Ranking is always by value descending.
+1, 2, 2, 4. Ranking is always by value descending. Competition ranks,
+mid-ranks and Kendall's tie counts all come from :func:`_runs`.
 """
 
 from __future__ import annotations
@@ -43,34 +44,61 @@ class OverlapCounts(NamedTuple):
     intersection_size: int
 
 
+def _as_vector(values, name: str) -> np.ndarray:
+    """A one-dimensional float64 or int64 copy of ``values``, validated."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional")
+    if arr.dtype.kind == "f":
+        if arr.size and not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contains non-finite values")
+        return arr.astype(np.float64)
+    if arr.size and arr.dtype.kind == "u" and int(arr.max()) > 2**63 - 1:
+        raise ValidationError(f"{name} exceeds the int64 limit")
+    if arr.dtype.kind not in "iuO":
+        raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
+    try:
+        return arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise ValidationError(f"{name} must hold integers within int64 range") from None
+
+
+def _runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of the runs of equal values in a sorted vector."""
+    n = sorted_values.size
+    is_start = np.empty(n, dtype=bool)
+    is_start[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    return starts, np.diff(starts, append=n)
+
+
 def rank_values(values) -> np.ndarray:
     """Competition rank of each entry of a non-negative integer vector.
 
     Vectorized; ranks correspond positionally to the input.
     """
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError("values must be one-dimensional")
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.dtype.kind == "u" and int(arr.max()) > 2**63 - 1:
-        raise ValidationError("values exceed the int64 limit of 2**63 - 1")
-    if arr.dtype.kind not in "iuO":
-        raise ValidationError(f"values must be integers, got dtype {arr.dtype}")
-    try:
-        v = arr.astype(np.int64)
-    except (OverflowError, TypeError, ValueError):
-        raise ValidationError("values must be integers within int64 range") from None
-    n = v.size
-    if v.min() < 0:
-        raise ValidationError("values must be non-negative")
+    v = _as_vector(values, "values")
+    if v.size and (v.dtype.kind == "f" or v.min() < 0):
+        raise ValidationError("values must be non-negative integers")
     order = np.argsort(-v, kind="stable")
-    sorted_vals = v[order]
-    group_start = np.zeros(n, dtype=np.int64)
-    group_start[1:] = np.where(sorted_vals[1:] != sorted_vals[:-1], np.arange(1, n), 0)
-    ranks_sorted = np.maximum.accumulate(group_start) + 1
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = ranks_sorted
+    starts, lengths = _runs(v[order])
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[order] = np.repeat(starts + 1, lengths)
+    return ranks
+
+
+def fractional_rank(values) -> np.ndarray:
+    """Mid-rank (average) ranks, descending: each tie group gets the mean
+    of the positions it occupies. Useful as an alternative re-ranking in
+    front of the correlation functions; rankings elsewhere in the package
+    stay competition-style.
+    """
+    v = _as_vector(values, "values")
+    order = np.argsort(-v, kind="stable")
+    starts, lengths = _runs(v[order])
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + (lengths + 1) / 2, lengths)
     return ranks
 
 
@@ -112,7 +140,8 @@ def _rank_sorted_rows(terms: list[str], values: np.ndarray) -> RankedList:
     """
     order = np.argsort(-values, kind="stable")
     ordered = values[order]
-    return RankedList([terms[i] for i in order], ordered, rank_values(ordered))
+    starts, lengths = _runs(ordered)
+    return RankedList([terms[i] for i in order], ordered, np.repeat(starts + 1, lengths))
 
 
 def ranking_overlap(

@@ -165,6 +165,19 @@ class TestCorrelate:
                      "--checkpoints", "2,3"]) == 1
         assert not out.exists()
 
+    def test_failed_curve_writes_neither_file(self, song_stats_file, tmp_path):
+        # 13 exceeds the song table's 12 pairs, a data error found only
+        # after the table is read
+        out, curve = tmp_path / "r.tsv", tmp_path / "c.tsv"
+        argv = ["correlate", "--stats", str(song_stats_file), "--out", str(out),
+                "--curve-out", str(curve), "--checkpoints", "4,13"]
+        assert main(argv) == 2
+        assert not out.exists() and not curve.exists()
+        out.write_bytes(b"old report\n")
+        assert main(argv) == 2
+        assert out.read_bytes() == b"old report\n"
+        assert not curve.exists()
+
 
 class TestRatio:
     def test_all_roundings_written(self, song_stats_file, tmp_path):
@@ -326,6 +339,41 @@ class TestBench:
         argv = [arg.format(out=out, stats=song_stats_file) for arg in argv]
         assert main(argv) == 1
         assert "expects comma-separated integers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+# Flag values that are wrong whatever the input. The input paths do not
+# exist, so exit 1 (not 3) also shows that nothing was read first.
+BAD_FLAG_VALUES = {
+    "overlap_reversed": (["rank", "--stats", "{missing}", "--overlap", "5", "2"], "--overlap"),
+    "overlap_from_zero": (["rank", "--stats", "{missing}", "--overlap", "0", "2"], "--overlap"),
+    "lexsig_k": (["lexsig", "--stats", "{missing}", "--doc", "{missing}", "--k", "0"], "--k"),
+    "compare_sig_k": (["compare-sig", "--stats", "{missing}", "--doc", "{missing}",
+                       "--k", "0"], "--k"),
+    "lexsig_n_hat": (["lexsig", "--freq-list", "{missing}", "--doc", "{missing}",
+                      "--n-hat", "0"], "--n-hat"),
+    "ffreq_min_count": (["ffreq", "--ngram", "{missing}", "--min-count", "-1"], "--min-count"),
+    "bench_trials": (["bench", "--sizes", "200,400", "--trials", "0"], "--trials"),
+    "bench_budget": (["bench", "--sizes", "200,400", "--budget", "0"], "--budget"),
+    "bench_sizes_descending": (["bench", "--sizes", "20,10"], "--sizes"),
+    "bench_extrapolate": (["bench", "--sizes", "200,400", "--trials", "1",
+                           "--extrapolate", "0"], "--extrapolate"),
+    "checkpoints_descending": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
+                                "--checkpoints", "100,10"], "--checkpoints"),
+}
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize("case", sorted(BAD_FLAG_VALUES))
+    def test_is_a_usage_error_before_any_input_is_read(self, case, tmp_path, capsys):
+        argv, flag = BAD_FLAG_VALUES[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [arg.format(missing=tmp_path / "missing", out=out) for arg in argv]
+        out_flag = "--out-prefix" if argv[0] == "bench" else "--out"
+        assert main(argv + [out_flag, str(out / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
         assert list(out.iterdir()) == []
 
 

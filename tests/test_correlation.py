@@ -165,19 +165,22 @@ class TestKendallKernels:
     def test_kernels_agree_everywhere(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
-            x, y = random_tied_pairs(rng)
-            try:
-                a = kendall_tau_naive(x, y)
-            except DegenerateInputError:
-                with pytest.raises(DegenerateInputError):
-                    kendall_tau_fast(x, y)
-                continue
-            b = kendall_tau_fast(x, y)
-            assert (a.concordant, a.discordant, a.ties_x, a.ties_y, a.ties_xy) == (
-                b.concordant, b.discordant, b.ties_x, b.ties_y, b.ties_xy
-            )
-            assert a.tau_a == b.tau_a
-            assert a.tau_b == b.tau_b
+            ints = random_tied_pairs(rng)
+            # correlate --fractional feeds float mid-ranks to the kernels
+            mid_ranks = (fractional_rank(ints[0]), fractional_rank(ints[1]))
+            for x, y in (ints, mid_ranks):
+                try:
+                    a = kendall_tau_naive(x, y)
+                except DegenerateInputError:
+                    with pytest.raises(DegenerateInputError):
+                        kendall_tau_fast(x, y)
+                    continue
+                b = kendall_tau_fast(x, y)
+                assert (a.concordant, a.discordant, a.ties_x, a.ties_y, a.ties_xy) == (
+                    b.concordant, b.discordant, b.ties_x, b.ties_y, b.ties_xy
+                )
+                assert a.tau_a == b.tau_a
+                assert a.tau_b == b.tau_b
 
     def test_against_scipy(self):
         rng = np.random.default_rng(9)
@@ -197,9 +200,11 @@ class TestKendallKernels:
         n = 1_000_000
         x = rng.integers(0, 3000, n)
         y = x // 3 + rng.integers(0, 200, n)
-        got = kendall_tau_fast(x, y).tau_b
-        want = sps.kendalltau(x, y).statistic
-        assert abs(got - want) <= 1e-12
+        # and their float mid-ranks, as correlate --fractional passes them
+        for xs, ys in ((x, y), (fractional_rank(x), fractional_rank(y))):
+            got = kendall_tau_fast(xs, ys).tau_b
+            want = sps.kendalltau(xs, ys).statistic
+            assert abs(got - want) <= 1e-12
 
     def test_naive_block_size_is_irrelevant(self):
         rng = np.random.default_rng(13)
