@@ -15,6 +15,7 @@ files. The one exception is bench, whose numbers are wall-clock readings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -59,6 +60,14 @@ def _comma_ints(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(
         f"expects comma-separated integers in ascending order, got {text!r}"
     )
+
+
+def _sample_sizes(text: str) -> list[int]:
+    """argparse type for ``bench --sizes``: at least one size, ascending, each >= 2."""
+    values = _comma_ints(text)
+    if not values or values[0] < 2:
+        raise argparse.ArgumentTypeError(f"expects sample sizes >= 2, got {text!r}")
+    return values
 
 
 def _above(low: int, convert=int):
@@ -183,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the Kendall kernels and fit growth")
     p.set_defaults(handler=_cmd_bench)
     p.add_argument("--kernel", choices=["naive", "fast", "both"], default="both")
-    p.add_argument("--sizes", type=_comma_ints, required=True,
+    p.add_argument("--sizes", type=_sample_sizes, required=True,
                    help="comma-separated ascending sample sizes")
     p.add_argument("--trials", type=_above(0), default=bench_mod.DEFAULT_TRIALS)
     p.add_argument("--budget", type=_above(0, float), default=bench_mod.DEFAULT_BUDGET_SECONDS,
@@ -385,7 +394,8 @@ def _cmd_compare_sig(args: argparse.Namespace) -> None:
     docs = _load_docs(args)
     table = stats.read_stats(args.stats_path)
     measured = lexsig.model_from_table(table, lexsig.DfMode.MEASURED_DF, args.n_hat)
-    proxy = lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
+    # what model_from_table builds in TC_AS_DF mode, sharing the measured model's tc
+    proxy = dataclasses.replace(measured, df={}, df_mode=lexsig.DfMode.TC_AS_DF)
     rows = lexsig.compare_signatures(docs, measured, proxy, args.k, args.normalized_tf)
     if args.format == "json":
         payload = [

@@ -278,6 +278,16 @@ def _parse_count_rows(
             yield FrequencyListEntry(term, count, lemmatized)
 
 
+def check_field(term: str) -> None:
+    """Refuse a term that would not read back as one tab-separated field.
+
+    Text-mode readers end a line at a carriage return as well as at a
+    newline, so a ``\r`` would split the row.
+    """
+    if "\t" in term or "\r" in term or "\n" in term:
+        raise ValidationError(f"term contains a tab, carriage return or newline: {term!r}")
+
+
 def write_frequency_list(entries: Iterable[FrequencyListEntry], path) -> None:
     """Write entries back out in the ``term<TAB>count[<TAB>L]`` format.
 
@@ -286,8 +296,7 @@ def write_frequency_list(entries: Iterable[FrequencyListEntry], path) -> None:
     """
     with write_utf8(path) as fh:
         for entry in entries:
-            if "\t" in entry.term or "\n" in entry.term:
-                raise ValidationError(f"term contains a tab or newline: {entry.term!r}")
+            check_field(entry.term)
             if entry.lemmatized:
                 fh.write(f"{entry.term}\t{entry.count}\tL\n")
             else:

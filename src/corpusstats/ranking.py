@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import write_utf8
-from .stats import TermStatsTable
+from .stats import TermStatsTable, iter_rows
 
 
 @dataclass
@@ -35,8 +35,7 @@ class RankedList:
         return len(self.terms)
 
     def __iter__(self):
-        for i, term in enumerate(self.terms):
-            yield term, int(self.values[i]), int(self.ranks[i])
+        return iter_rows(self.terms, self.values, self.ranks)
 
 
 class OverlapCounts(NamedTuple):
@@ -122,7 +121,7 @@ def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
         column = np.fromiter((values[t] for t in terms), dtype=np.int64, count=len(terms))
     except OverflowError:
         raise ValidationError("values exceed the int64 limit of 2**63 - 1") from None
-    return _rank_sorted_rows(terms, column)
+    return _rank_sorted_rows(column, lambda order: list(map(terms.__getitem__, order)))
 
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
@@ -130,18 +129,21 @@ def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     if by not in ("tc", "df"):
         raise ValidationError(f"by must be 'tc' or 'df', got {by!r}")
     tc, df = table.count_arrays()
-    return _rank_sorted_rows(table.terms(), tc if by == "tc" else df)
+    return _rank_sorted_rows(tc if by == "tc" else df, table.terms_at)
 
 
-def _rank_sorted_rows(terms: list[str], values: np.ndarray) -> RankedList:
+def _rank_sorted_rows(values: np.ndarray, terms_at) -> RankedList:
     """Competition-rank term-sorted rows into presentation order.
 
-    The stable sort on -value keeps tied terms in ascending term order.
+    ``terms_at(order)`` gives the terms of the rows ``order`` names. The
+    stable sort on -value keeps tied terms in ascending term order.
     """
     order = np.argsort(-values, kind="stable")
+    terms = terms_at(order)
     ordered = values[order]
+    del order  # freed before the ranks take as much memory again
     starts, lengths = _runs(ordered)
-    return RankedList([terms[i] for i in order], ordered, np.repeat(starts + 1, lengths))
+    return RankedList(terms, ordered, np.repeat(starts + 1, lengths))
 
 
 def ranking_overlap(
@@ -204,8 +206,7 @@ def align_ranks(table: TermStatsTable) -> AlignedRanks:
 def write_ranked_list(ranked: RankedList, path) -> None:
     """Export ``term<TAB>value<TAB>rank`` rows in presentation order."""
     with write_utf8(path) as fh:
-        for term, value, rank in ranked:
-            fh.write(f"{term}\t{value}\t{rank}\n")
+        fh.writelines(f"{term}\t{value}\t{rank}\n" for term, value, rank in ranked)
 
 
 def write_rank_scatter(aligned: AlignedRanks, path) -> None:
@@ -215,6 +216,6 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     scatter plot of the two rankings needs.
     """
     order = np.lexsort((aligned.df_ranks, aligned.tc_ranks))
+    rows = iter_rows(aligned.tc_ranks[order], aligned.df_ranks[order])
     with write_utf8(path) as fh:
-        for i in order:
-            fh.write(f"{aligned.tc_ranks[i]}\t{aligned.df_ranks[i]}\n")
+        fh.writelines(f"{tc_rank}\t{df_rank}\n" for tc_rank, df_rank in rows)

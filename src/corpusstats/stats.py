@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import array
 import itertools
+import operator
+import os
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -24,24 +26,40 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import MAX_COUNT, Document, open_utf8, write_utf8
+from .ingest import MAX_COUNT, Document, check_field, open_utf8, write_utf8
 
 _SHARD_SIZE = 256  # documents per worker batch when jobs > 1
+
+_ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
+_BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
+_MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
+_TAB, _LF, _CR, _ZERO = b"\t\n\r0"
+_INT32_MAX = 2**31 - 1  # term buffers up to this size index their newlines with int32
 
 
 class TermStatsTable:
     """Columnar tc/df table plus the corpus document count.
 
     Three aligned columns: the terms in strictly ascending order, and
-    their tc and df as int64 arrays. The constructor takes the columns as
-    they are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
+    their tc and df as int64 arrays. The terms are one UTF-8 buffer in
+    which every term is followed by a newline; UTF-8 byte order is
+    code-point order, so the buffer sorts exactly as the ``str`` terms do.
+    The constructor takes the term buffer and the count columns as they
+    are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
     Treated as immutable once built; reads are safe to share across threads.
     """
 
-    __slots__ = ("_terms", "_tc", "_df", "doc_count")
+    __slots__ = ("_terms", "_ends", "_tc", "_df", "doc_count")
 
-    def __init__(self, terms: list[str], tc: np.ndarray, df: np.ndarray, doc_count: int):
+    def __init__(self, terms: bytes, tc: np.ndarray, df: np.ndarray, doc_count: int):
         self._terms = terms
+        ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
+        self._ends = ends.astype(np.int32) if len(terms) <= _INT32_MAX else ends
+        if not self._ends.size == tc.size == df.size:
+            raise ValidationError(
+                f"columns differ in length: {self._ends.size} terms, {tc.size} tc, {df.size} df"
+            )
         self._tc = tc
         self._df = df
         self.doc_count = doc_count
@@ -50,19 +68,35 @@ class TermStatsTable:
     def from_mapping(cls, counts: Mapping[str, tuple[int, int]], doc_count: int) -> TermStatsTable:
         """Build the sorted columns from a ``term -> (tc, df)`` mapping."""
         terms = sorted(counts)
+        tc = (counts[t][0] for t in terms)
+        df = (counts[t][1] for t in terms)
+        return cls._from_sorted(terms, tc, df, doc_count)
+
+    @classmethod
+    def _from_sorted(cls, terms: list[str], tc: Iterable[int], df: Iterable[int],
+                     doc_count: int) -> TermStatsTable:
+        """Build the table from sorted ``terms`` and their counts, in that order."""
         try:
-            tc = np.fromiter((counts[t][0] for t in terms), dtype=np.int64, count=len(terms))
-            df = np.fromiter((counts[t][1] for t in terms), dtype=np.int64, count=len(terms))
+            tc_col = np.fromiter(tc, dtype=np.int64, count=len(terms))
+            df_col = np.fromiter(df, dtype=np.int64, count=len(terms))
         except OverflowError:
             raise ValidationError("a count exceeds 2**63 - 1") from None
-        return cls(terms, tc, df, doc_count)
+        return cls(_pack_terms(terms), tc_col, df_col, doc_count)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return self._ends.size
+
+    def _term_bytes(self, i: int) -> bytes:
+        start = int(self._ends[i - 1]) + 1 if i else 0
+        return self._terms[start:int(self._ends[i])]
 
     def _index(self, term: str) -> int | None:
-        i = bisect_left(self._terms, term)
-        return i if i < len(self._terms) and self._terms[i] == term else None
+        try:
+            key = term.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: no stored term has one
+            return None
+        i = bisect_left(range(len(self)), key, key=self._term_bytes)
+        return i if i < len(self) and self._term_bytes(i) == key else None
 
     def __contains__(self, term: str) -> bool:
         return self._index(term) is not None
@@ -78,8 +112,30 @@ class TermStatsTable:
         return 0 if i is None else int(self._df[i])
 
     def terms(self) -> list[str]:
-        """All stored terms in sorted order (the stored column; do not mutate)."""
-        return self._terms
+        """All stored terms in sorted order, decoded into a new list on every call."""
+        terms = self._terms.decode("utf-8").split("\n")
+        terms.pop()  # the empty string after the last term's newline
+        return terms
+
+    def terms_at(self, rows: np.ndarray) -> list[str]:
+        """The terms of the row indices ``rows``, in that order.
+
+        Decodes one chunk of rows at a time, so unlike reordering
+        :meth:`terms` it never holds the whole table's terms twice.
+        """
+        data = np.frombuffer(self._terms, dtype=np.uint8)
+        terms: list[str] = [""] * len(rows)
+        for lo in range(0, len(rows), _ROWS_PER_CHUNK):
+            chunk = rows[lo:lo + _ROWS_PER_CHUNK]
+            ends = self._ends[chunk] + 1  # past each term's newline
+            starts = np.where(chunk > 0, self._ends[chunk - 1] + 1, 0)
+            lengths = ends - starts
+            # every byte of every chosen term, term after term
+            where = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            where += np.arange(where.size)
+            decoded = data[where].tobytes().decode("utf-8").split("\n")
+            terms[lo:lo + chunk.size] = decoded[:-1]  # the last is empty: after the final newline
+        return terms
 
     def count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(tc, df) as parallel int64 arrays in sorted-term order (the stored columns)."""
@@ -87,7 +143,7 @@ class TermStatsTable:
 
     def as_mapping(self) -> dict[str, tuple[int, int]]:
         """``term -> (tc, df)``, the inverse of :meth:`from_mapping`."""
-        return dict(zip(self._terms, zip(self._tc.tolist(), self._df.tolist())))
+        return dict(zip(self.terms(), zip(self._tc.tolist(), self._df.tolist())))
 
     def validate(self) -> None:
         """Check the table invariants; raises ValidationError on the first hole."""
@@ -98,9 +154,21 @@ class TermStatsTable:
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
-                f"term {self._terms[i]!r}: need 1 <= df <= tc and df <= doc_count,"
-                f" got tc={tc[i]} df={df[i]} doc_count={self.doc_count}"
+                f"term {self._term_bytes(i).decode('utf-8')!r}: need 1 <= df <= tc and"
+                f" df <= doc_count, got tc={tc[i]} df={df[i]} doc_count={self.doc_count}"
             )
+
+
+def _pack_terms(terms: list[str]) -> bytes:
+    """The term buffer of sorted ``terms``: UTF-8, each term followed by a newline."""
+    text = "\n".join([*terms, ""])
+    if text.count("\n") != len(terms):
+        bad = next(term for term in terms if "\n" in term)
+        raise ValidationError(f"term contains a newline: {bad!r}")
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("a term is not valid Unicode (lone surrogate)") from None
 
 
 def compute_tc_df(documents: Iterable[Document], jobs: int | None = None) -> TermStatsTable:
@@ -125,7 +193,10 @@ def compute_tc_df(documents: Iterable[Document], jobs: int | None = None) -> Ter
                     n_docs += _fold(tc, df, pending.pop(0).result())
             for fut in pending:
                 n_docs += _fold(tc, df, fut.result())
-    return TermStatsTable.from_mapping({t: (k, df[t]) for t, k in tc.items()}, n_docs)
+    terms = sorted(tc)
+    return TermStatsTable._from_sorted(
+        terms, map(tc.__getitem__, terms), map(df.__getitem__, terms), n_docs
+    )
 
 
 def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:
@@ -178,7 +249,7 @@ def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
         if total.size and int(total.max()) > MAX_COUNT:
             raise ValidationError("a merged count exceeds 2**63 - 1")
         columns.append(total.astype(np.int64))
-    return TermStatsTable(terms.tolist(), *columns, a.doc_count + b.doc_count)
+    return TermStatsTable(_pack_terms(terms.tolist()), *columns, a.doc_count + b.doc_count)
 
 
 def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
@@ -205,15 +276,27 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
     return dict(histogram)
 
 
+def iter_rows(*columns) -> Iterator[tuple]:
+    """Aligned rows of ``columns`` (lists or numpy arrays) as tuples of Python values.
+
+    Arrays are converted with ``tolist`` one chunk of rows at a time, so the
+    Python ints of a whole column never exist at once.
+    """
+    for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+        chunk = [column[lo:lo + _ROWS_PER_CHUNK] for column in columns]
+        yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+
+
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
+    terms = table.terms()
+    if b"\t" in table._terms or b"\r" in table._terms:
+        for term in terms:
+            check_field(term)
     tc, df = table.count_arrays()
     with write_utf8(path) as fh:
         fh.write(f"#N={table.doc_count}\n")
-        for term, tc_i, df_i in zip(table.terms(), tc.tolist(), df.tolist()):
-            if "\t" in term or "\n" in term:
-                raise ValidationError(f"term contains a tab or newline: {term!r}")
-            fh.write(f"{term}\t{tc_i}\t{df_i}\n")
+        fh.writelines(f"{term}\t{tc_i}\t{df_i}\n" for term, tc_i, df_i in iter_rows(terms, tc, df))
 
 
 def read_stats(path) -> TermStatsTable:
@@ -224,8 +307,146 @@ def read_stats(path) -> TermStatsTable:
     Rows may come in any order (they are sorted once if they are not
     ascending) but a term may appear only once. Any violation raises
     ParseError with the line number.
+
+    A table as :func:`write_stats` writes it is read in blocks of whole
+    lines (:func:`_read_blocks`). Any other file, faulty ones included,
+    is read again from the start one line at a time (:func:`_read_lines`),
+    which sorts unsorted rows and names the first bad line.
     """
     path = Path(path)
+    table = _read_blocks(path)
+    return table if table is not None else _read_lines(path)
+
+
+def _read_blocks(path: Path) -> TermStatsTable | None:
+    """Read a clean table in blocks of whole lines; None if any block is not clean.
+
+    Clean means: LF line ends, no blank line, a final newline, exactly two
+    tabs per row, a non-empty term, valid UTF-8, counts of 1 to 19 ASCII
+    digits with 1 <= df <= tc <= 2**63 - 1 and df <= N, and terms strictly
+    ascending, also from one block to the next. The blocks are read into
+    one reused buffer; a line longer than the buffer doubles it. Only
+    regular files are read this way, since the line loop reads again from
+    the start.
+    """
+    if not path.is_file():  # a pipe cannot be read again by the line loop
+        return None
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        header = fh.readline(len(b"#N=") + _MAX_DIGITS + 1)
+        digits = header[3:-1]
+        if not (header.startswith(b"#N=") and header.endswith(b"\n") and digits.isdigit()):
+            return None
+        doc_count = int(digits)
+        if doc_count > MAX_COUNT:
+            return None
+        terms = bytearray()
+        tc_col = np.zeros(0, dtype=np.int64)
+        df_col = np.zeros(0, dtype=np.int64)
+        rows = 0
+        last = b""  # sorts before every term, which is non-empty
+        buf = bytearray(_BLOCK_SIZE)
+        view = memoryview(buf)
+        kept = 0  # bytes of an unfinished line at the front of buf
+        while got := fh.readinto(view[kept:]):
+            end = kept + got
+            cut = buf.rfind(b"\n", 0, end) + 1
+            if not cut:
+                if end == len(buf):
+                    buf = bytearray(2 * len(buf))
+                    buf[:end] = view[:end]
+                    view = memoryview(buf)
+                kept = end
+                continue
+            block = _scan_block(np.frombuffer(buf, dtype=np.uint8, count=cut), doc_count, last)
+            if block is None:
+                return None
+            block_terms, tc, df, last = block
+            terms += block_terms
+            if rows + tc.size > tc_col.size:
+                # room for the rows the rest of the file holds at this block's density
+                unread = max(file_size - fh.tell(), 0) + end - cut  # the file may have grown
+                capacity = rows + tc.size + int(tc.size * unread / cut * 1.05)
+                tc_col.resize(capacity, refcheck=False)
+                df_col.resize(capacity, refcheck=False)
+            tc_col[rows:rows + tc.size] = tc
+            df_col[rows:rows + tc.size] = df
+            rows += tc.size
+            buf[:end - cut] = buf[cut:end]  # a copy: the two ranges may overlap
+            kept = end - cut
+        if kept:  # no final newline
+            return None
+    tc_col.resize(rows, refcheck=False)
+    df_col.resize(rows, refcheck=False)
+    terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
+    return TermStatsTable(terms, tc_col, df_col, doc_count)
+
+
+def _scan_block(data: np.ndarray, doc_count: int, last: bytes):
+    """Check and parse one block of whole lines.
+
+    Returns the block's term buffer, its tc and df as int64 and its last
+    term, or None if :func:`_read_blocks` must leave the file to the line
+    loop. ``last`` is the previous block's last term.
+    """
+    ends = np.flatnonzero(data == _LF)
+    tabs = np.flatnonzero(data == _TAB)
+    if tabs.size != 2 * ends.size or (data == _CR).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    tab1, tab2 = tabs[0::2], tabs[1::2]
+    # Each line holds its own pair of tabs, and no field is empty.
+    if not ((tab1 > starts).all() and (tab2 > tab1 + 1).all() and (ends > tab2 + 1).all()):
+        return None
+    tc = _parse_counts(data, tab1 + 1, tab2)
+    df = _parse_counts(data, tab2 + 1, ends)
+    if tc is None or df is None:
+        return None
+    if not ((tc <= MAX_COUNT).all() and (df >= 1).all() and (df <= tc).all()
+            and (df <= doc_count).all()):
+        return None
+    # Keep each term and the tab after it, then turn those tabs into newlines.
+    marks = np.zeros(data.size, dtype=np.int8)
+    marks[starts] = 1
+    marks[tab1 + 1] = -1
+    packed = data[np.cumsum(marks, dtype=np.int8).view(np.bool_)]
+    packed[packed == _TAB] = _LF
+    terms = packed.tobytes()
+    if not terms.isascii():
+        try:
+            terms.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    rows = terms.split(b"\n")
+    rows.pop()
+    if not (last < rows[0] and all(map(operator.lt, rows, itertools.islice(rows, 1, None)))):
+        return None
+    return terms, tc.view(np.int64), df.view(np.int64), rows[-1]
+
+
+def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The digit fields ``data[first:end]`` as uint64, or None if a field has
+    more than 19 digits or a byte that is not an ASCII digit."""
+    width = end - first
+    widest = int(width.max())
+    if widest > _MAX_DIGITS:
+        return None
+    narrowest = int(width.min())
+    value = np.zeros(width.size, dtype=np.uint64)
+    for k in range(widest):  # the k-th digit from the right
+        digit = data[end - 1 - k] - _ZERO  # uint8: bytes below '0' wrap above 9
+        if k >= narrowest:  # mask fields with fewer digits (their index may wrap)
+            digit[width <= k] = 0
+        if (digit > 9).any():
+            return None
+        value += digit.astype(np.uint64) * _POW10[k]
+    return value
+
+
+def _read_lines(path: Path) -> TermStatsTable:
+    """Parse a stats file one line at a time, with every check of :func:`read_stats`."""
     terms: list[str] = []
     tc_col = array.array("q")
     df_col = array.array("q")
@@ -282,7 +503,7 @@ def read_stats(path) -> TermStatsTable:
         order = sorted(range(len(terms)), key=terms.__getitem__)
         terms = [terms[i] for i in order]
         tc_arr, df_arr = tc_arr[order], df_arr[order]
-    return TermStatsTable(terms, tc_arr, df_arr, doc_count)
+    return TermStatsTable(_pack_terms(terms), tc_arr, df_arr, doc_count)
 
 
 def _field_fault(term: str, tc_text: str, df_text: str) -> str:

@@ -1,0 +1,198 @@
+"""The stats reader's block scan against a reference parser, at several block sizes.
+
+``read_stats`` reads a clean table in blocks of whole lines and leaves any
+other file to its line loop. These tests shrink the block size so that
+block boundaries fall inside rows, inside multi-byte characters and
+between out-of-order rows, and require the same table, or the same
+``path:line: message``, at every size.
+"""
+
+import os
+import re
+import threading
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpusstats import ParseError, read_stats, stats
+
+MAX_COUNT = 2**63 - 1
+BLOCK_SIZES = [1, 7, 64, 2**20]
+
+# ASCII, two-, three- and four-byte UTF-8, and characters that str.splitlines
+# would treat as line breaks but a file's lines do not.
+ALPHABET = ["a", "b", "z", " ", "\x00", "\xe9", "\u0436", "\u20ac", "\u2028", "\x85",
+            "\U0001d11e", "\U0001f600"]
+terms_st = st.text(alphabet=st.sampled_from(ALPHABET), min_size=1, max_size=5)
+counts_st = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([10**18, 10**18 + 7, 9_999_999_999_999_999, MAX_COUNT]),
+    st.integers(1, MAX_COUNT),
+)
+
+
+def reference(data: bytes):
+    """Sorted terms, tc, df and N of a valid table, by the documented format."""
+    header, *lines = re.split("\r\n|\r|\n", data.decode("utf-8"))
+    doc_count = int(header.removeprefix("#N="))
+    rows = {}
+    for line in lines:
+        if line:
+            term, tc, df = line.split("\t")
+            assert term not in rows
+            rows[term] = (int(tc), int(df))
+    terms = sorted(rows)
+    return terms, [rows[t][0] for t in terms], [rows[t][1] for t in terms], doc_count
+
+
+@contextmanager
+def block_size(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK_SIZE", size)
+        yield
+
+
+def read_at(path, size):
+    with block_size(size):
+        table = read_stats(path)
+    tc, df = table.count_arrays()
+    return table.terms(), tc.tolist(), df.tolist(), table.doc_count
+
+
+def blocks_at(path, size):
+    with block_size(size):
+        return stats._read_blocks(path)
+
+
+def error_at(path, size) -> ParseError:
+    with block_size(size), pytest.raises(ParseError) as err:
+        read_stats(path)
+    return err.value
+
+
+@st.composite
+def tables(draw):
+    """A valid table: distinct terms, 1 <= df <= tc, df <= N, and a list of rows."""
+    terms = draw(st.lists(terms_st, min_size=0, max_size=12, unique=True))
+    rows = []
+    for term in sorted(terms):
+        tc = draw(counts_st)
+        rows.append((term, tc, draw(st.integers(1, tc))))
+    doc_count = max([df for _, _, df in rows], default=0)
+    doc_count = draw(st.sampled_from([doc_count, min(doc_count + 3, MAX_COUNT), MAX_COUNT]))
+    return doc_count, rows
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("block_reader")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=tables(),
+    shuffle=st.randoms(use_true_random=False),
+    unsorted=st.booleans(),
+    crlf=st.booleans(),
+    blank=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_every_block_size_reads_the_reference_table(
+    table_dir, table, shuffle, unsorted, crlf, blank, final_newline
+):
+    doc_count, rows = table
+    if unsorted:
+        shuffle.shuffle(rows)
+    lines = [f"#N={doc_count}"] + [f"{t}\t{tc}\t{df}" for t, tc, df in rows]
+    if blank:
+        lines.insert(len(lines) // 2 + 1, "")
+    eol = "\r\n" if crlf else "\n"
+    text = eol.join(lines) + (eol if final_newline else "")
+    path = table_dir / "table.stats"
+    path.write_bytes(text.encode("utf-8"))
+    want = reference(path.read_bytes())
+    # the layout write_stats writes, which the line loop is never needed for
+    clean = text == f"#N={doc_count}\n" + "".join(f"{t}\t{tc}\t{df}\n" for t, tc, df in sorted(rows))
+    for size in BLOCK_SIZES:
+        assert read_at(path, size) == want, size
+        assert (blocks_at(path, size) is not None) == clean, size
+
+
+# Faults for one row; each must be reported as the line loop reports it,
+# whichever block the row falls in.
+FAULTS = {
+    "df_not_digits": (lambda t: f"{t}\t{10**18}\t1 ", "df is not a plain integer: '1 '"),
+    "df_sign": (lambda t: f"{t}\t{10**18}\t+9", "df is not a plain integer: '+9'"),
+    "tc_not_digits": (lambda t: f"{t}\t1_0\t1", "tc is not a plain integer: '1_0'"),
+    "tc_arabic_digit": (lambda t: f"{t}\t\u0663\t1", "tc is not a plain integer: '\u0663'"),
+    "tc_two_to_the_63": (lambda t: f"{t}\t{2**63}\t1", "tc exceeds 2**63 - 1"),
+    "tc_twenty_digits": (lambda t: f"{t}\t{10**19}\t1", "tc exceeds 2**63 - 1"),
+    "df_above_tc": (lambda t: f"{t}\t3\t4", "need 1 <= df <= tc, got tc=3 df=4"),
+    "df_zero": (lambda t: f"{t}\t3\t0", "need 1 <= df <= tc, got tc=3 df=0"),
+    "df_above_n": (lambda t: f"{t}\t{10**7}\t{10**6 + 1}", f"df={10**6 + 1} exceeds doc_count={10**6}"),
+    "empty_term": (lambda t: "\t3\t1", "empty term"),
+    "two_fields": (lambda t: f"{t}\t3", "expected term<TAB>tc<TAB>df, got 2 fields"),
+    "four_fields": (lambda t: f"{t}\t3\t1\t1", "expected term<TAB>tc<TAB>df, got 4 fields"),
+    "duplicate": (None, "duplicate term"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(terms_st, min_size=4, max_size=12, unique=True),
+    data=st.data(),
+    fault=st.sampled_from(sorted(FAULTS)),
+)
+def test_a_bad_row_in_a_later_block_names_its_line_at_every_size(table_dir, terms, data, fault):
+    terms.sort()
+    rows = [f"{t}\t{data.draw(counts_st)}\t1" for t in terms]
+    at = data.draw(st.integers(len(rows) // 2, len(rows) - 1))
+    make_row, message = FAULTS[fault]
+    if make_row is None:
+        rows.insert(at, rows[at - 1])
+    else:
+        rows[at] = make_row(terms[at])
+    path = table_dir / "bad.stats"
+    path.write_bytes(("\n".join([f"#N={10**6}"] + rows) + "\n").encode("utf-8"))
+    errors = {str(error_at(path, size)) for size in BLOCK_SIZES}
+    line = at + 2  # after the header, 1-based
+    assert len(errors) == 1, errors
+    assert errors.pop().startswith(f"{path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_invalid_utf8_in_a_later_block_names_its_line(table_dir, size):
+    rows = [f"t{i:03d}\t5\t1".encode() for i in range(40)]
+    rows[30] = b"t030\xe9\t5\t1"
+    path = table_dir / "latin1.stats"
+    path.write_bytes(b"\n".join([b"#N=5"] + rows) + b"\n")
+    assert str(error_at(path, size)) == f"{path}:32: not valid UTF-8"
+
+
+@pytest.mark.parametrize("inside", [1, 2, 3])
+def test_a_character_cut_by_the_block_boundary(table_dir, inside):
+    # The header is read on its own; the first 64-byte block then ends
+    # after ``inside`` bytes of the four-byte character in the second row.
+    path = table_dir / "cut.stats"
+    path.write_bytes(f"#N=5\n{'a' * (59 - inside)}\t1\t1\n\U0001d11ex\t2\t1\n".encode("utf-8"))
+    assert path.read_bytes().index("\U0001d11e".encode()) == len("#N=5\n") + 64 - inside
+    assert read_at(path, 64) == reference(path.read_bytes())
+    assert blocks_at(path, 64) is not None
+
+
+def test_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
+    # The line loop reads again from the start, which a pipe cannot do, so
+    # an unsorted table from a pipe must never go through the block scan.
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("#N=5\nb\t2\t1\na\t1\t1\n",),
+                              daemon=True)
+    writer.start()
+    try:
+        table = read_stats(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert table.as_mapping() == {"a": (1, 1), "b": (2, 1)}

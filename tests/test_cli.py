@@ -356,6 +356,8 @@ BAD_FLAG_VALUES = {
     "bench_trials": (["bench", "--sizes", "200,400", "--trials", "0"], "--trials"),
     "bench_budget": (["bench", "--sizes", "200,400", "--budget", "0"], "--budget"),
     "bench_sizes_descending": (["bench", "--sizes", "20,10"], "--sizes"),
+    "bench_sizes_below_two": (["bench", "--sizes", "1,2"], "--sizes"),
+    "bench_sizes_empty": (["bench", "--sizes", ""], "--sizes"),
     "bench_extrapolate": (["bench", "--sizes", "200,400", "--trials", "1",
                            "--extrapolate", "0"], "--extrapolate"),
     "checkpoints_descending": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
@@ -479,6 +481,48 @@ class TestOneStrictReader:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {stats}:3: {message}\n"
         assert list(out.iterdir()) == []
+
+
+# Table layouts the reader accepts besides the sorted LF layout that
+# write_stats writes. Each must give every subcommand the exit code, stderr
+# and output files of the clean table; a duplicate after unsorted rows is
+# the same error everywhere.
+CLEAN_ROWS = ["a\t2\t1", "b\t5\t3", "\xe9\t1\t1", "\u0436\t4\t2", "\U0001d11e\t3\t3"]
+CLEAN_TABLE = "#N=5\n" + "".join(row + "\n" for row in CLEAN_ROWS)
+ACCEPTED_SHAPES = {
+    "crlf": ("#N=5\r\n" + "".join(row + "\r\n" for row in CLEAN_ROWS), CLEAN_TABLE),
+    "blank_lines": ("#N=5\n\n" + "\n\n".join(CLEAN_ROWS) + "\n\n\n", CLEAN_TABLE),
+    "no_final_newline": ("#N=5\n" + "\n".join(CLEAN_ROWS), CLEAN_TABLE),
+    "header_only": ("#N=5", "#N=5\n"),
+    "unsorted": ("#N=5\n" + "".join(row + "\n" for row in reversed(CLEAN_ROWS)), CLEAN_TABLE),
+    "duplicate_after_unsorted": ("#N=5\nb\t1\t1\na\t1\t1\n\nc\t1\t1\nb\t2\t1\n", None),
+}
+
+
+def run_table_reader(command, text, tmp_path, name, capsys):
+    """Exit code, stderr (the table path as STATS) and output files of one call."""
+    stats = tmp_path / f"{name}.stats"
+    stats.write_text(text, encoding="utf-8", newline="")
+    doc = tmp_path / "d.txt"
+    doc.write_text("a b \u0436 z\n", encoding="utf-8")
+    out = tmp_path / name
+    out.mkdir()
+    capsys.readouterr()
+    code = main([str(arg) for arg in TABLE_READERS[command](stats, doc, out)])
+    err = capsys.readouterr().err.replace(str(stats), "STATS")
+    return code, err, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestAcceptedTableShapes:
+    @pytest.mark.parametrize("command", sorted(TABLE_READERS))
+    @pytest.mark.parametrize("shape", sorted(ACCEPTED_SHAPES))
+    def test_reads_like_the_clean_table(self, command, shape, tmp_path, capsys):
+        text, clean = ACCEPTED_SHAPES[shape]
+        got = run_table_reader(command, text, tmp_path, "shape", capsys)
+        if clean is None:
+            assert got == (2, "error: STATS:6: duplicate term 'b'\n", {})
+        else:
+            assert got == run_table_reader(command, clean, tmp_path, "clean", capsys)
 
 
 # Valid rows on lines 1-2 and a Latin-1 byte on line 3. The text decoder

@@ -14,6 +14,7 @@ from corpusstats import (
     merge,
     read_stats,
     read_stats_columns,
+    write_frequency_list,
     write_stats,
 )
 from conftest import SONG_TC_DF
@@ -240,6 +241,20 @@ class TestStatsFileFormat:
         with pytest.raises(ParseError) as err:
             read_stats(path)
         assert ":6: duplicate term 'b'" in str(err.value)
+
+    @pytest.mark.parametrize("term", ["a\tb", "a\rb"])
+    def test_writers_refuse_a_term_that_would_split_its_row(self, term, tmp_path):
+        table = TermStatsTable.from_mapping({term: (2, 1), "c": (1, 1)}, 3)
+        with pytest.raises(ValidationError):
+            write_stats(table, tmp_path / "t.stats")
+        with pytest.raises(ValidationError):
+            write_frequency_list([FrequencyListEntry("c", 1), FrequencyListEntry(term, 2)],
+                                 tmp_path / "t.freq")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_newline_in_a_term_is_refused_when_the_table_is_built(self):
+        with pytest.raises(ValidationError):
+            TermStatsTable.from_mapping({"a\nb": (2, 1)}, 3)
 
     def test_count_limit_is_two_to_the_63_minus_one(self, tmp_path):
         path = tmp_path / "big.tsv"
