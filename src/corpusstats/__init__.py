@@ -35,6 +35,7 @@ from .stats import (
     compute_tc_df,
     frequency_of_frequencies,
     merge,
+    read_frequency_table,
     read_stats,
     read_stats_columns,
     write_stats,

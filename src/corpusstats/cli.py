@@ -15,7 +15,6 @@ files. The one exception is bench, whose numbers are wall-clock readings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -369,8 +368,8 @@ def _background_model(args: argparse.Namespace) -> lexsig.BackgroundModel:
         return lexsig.model_from_table(table, mode, args.n_hat)
     if args.n_hat is None:
         raise UsageError("--freq-list models need --n-hat (lists carry no document count)")
-    entries = parse_frequency_list(args.freq_list, keep_lemmatized=args.keep_lemmatized)
-    return lexsig.model_from_entries(entries, args.n_hat)
+    table = stats.read_frequency_table(args.freq_list, keep_lemmatized=args.keep_lemmatized)
+    return lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
 
 
 def _cmd_lexsig(args: argparse.Namespace) -> None:
@@ -394,8 +393,7 @@ def _cmd_compare_sig(args: argparse.Namespace) -> None:
     docs = _load_docs(args)
     table = stats.read_stats(args.stats_path)
     measured = lexsig.model_from_table(table, lexsig.DfMode.MEASURED_DF, args.n_hat)
-    # what model_from_table builds in TC_AS_DF mode, sharing the measured model's tc
-    proxy = dataclasses.replace(measured, df={}, df_mode=lexsig.DfMode.TC_AS_DF)
+    proxy = lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
     rows = lexsig.compare_signatures(docs, measured, proxy, args.k, args.normalized_tf)
     if args.format == "json":
         payload = [

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice, permutations
 
 import numpy as np
 
@@ -259,45 +257,52 @@ def tau_to_rho(tau: float) -> float:
     return (3.0 * t - t**3) / 2.0
 
 
-@lru_cache(maxsize=None)
-def _exact_rho_null(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of |rho| over all n! tie-free rank permutations.
+def _permutations(n: int) -> np.ndarray:
+    """All n! permutations of range(n), one per row of an int8 matrix."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):  # insert k at each column of every permutation of range(k)
+        m = len(perms)
+        grown = np.empty((m * (k + 1), k + 1), dtype=np.int8)
+        for pos in range(k + 1):
+            rows = grown[pos * m:(pos + 1) * m]
+            rows[:, :pos] = perms[:, :pos]
+            rows[:, pos] = k
+            rows[:, pos + 1:] = perms[:, pos:]
+        perms = grown
+    return perms
 
-    Returns (sorted unique |rho| values, permutation counts). Data
-    independent for a given n because every tie-free ranking of n items is
-    a permutation of 1..n. Enumerated in chunks so n = 10 (3.6M
-    permutations) stays within a few hundred MB.
+
+def _permutation_null(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|rho| of the x ranks against every one of the n! orderings of the y ranks.
+
+    Ties stay as observed: the null is over the y ranks that were seen, not
+    over a tie-free 1..n. n = 10 (3.6M orderings) takes about 100 MB.
     """
-    base = np.arange(1, n + 1, dtype=np.int64)
-    max_ssd = (n**3 - n) // 3
-    ssd_hist = np.zeros(max_ssd + 1, dtype=np.int64)
-    perm_iter = permutations(range(1, n + 1))
-    chunk_size = 100_000
-    while True:
-        chunk = list(islice(perm_iter, chunk_size))
-        if not chunk:
-            break
-        mat = np.asarray(chunk, dtype=np.int64)
-        d = mat - base
-        ssd = np.einsum("ij,ij->i", d, d)
-        ssd_hist += np.bincount(ssd, minlength=max_ssd + 1)
-    ssd_values = np.flatnonzero(ssd_hist)
-    counts = ssd_hist[ssd_values]
-    rho = 1.0 - 6.0 * ssd_values / (n * (n * n - 1.0))
-    abs_rho = np.abs(rho)
-    order = np.argsort(abs_rho, kind="stable")
-    return abs_rho[order], counts[order]
+    dx = x.astype(np.float64) - x.mean(dtype=np.float64)
+    dy = y.astype(np.float64) - y.mean(dtype=np.float64)
+    scale = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    if scale == 0.0:
+        raise DegenerateInputError("zero variance: one vector is entirely tied")
+    perms = _permutations(x.size)
+    total = np.zeros(len(perms))
+    for i, weight in enumerate(dx.tolist()):
+        total += (weight * dy)[perms[:, i]]
+    return np.abs(total) / scale
 
 
-def rho_significance(rho: float, n: int, method: str = "auto") -> float:
+def rho_significance(rho: float, n: int, method: str = "auto", ranks=None) -> float:
     """Two-sided p-value for an observed Spearman rho over n pairs.
 
-    method="exact" enumerates the permutation null of tie-free rankings
-    (only for n <= 10; above that the factorial blows up). method="approx"
+    method="exact" pairs the x ranks with every ordering of the y ranks
+    and returns the share of the n! orderings whose |rho| is at least the
+    observed one (only for n <= 10; above that the factorial blows up).
+    ``ranks`` is the (x, y) pair of rank vectors rho was computed from, so
+    that the null keeps their ties; without it the ranks are taken to be
+    tie-free (1..n), which is exact only for untied data. method="approx"
     uses the t statistic rho*sqrt((n-2)/(1-rho^2)) against Student's t
-    with n-2 degrees of freedom. method="auto" picks exact when n <= 10.
-    The returned value is floored at 2.2e-16 because tinier tail claims
-    are numerically meaningless here.
+    with n-2 degrees of freedom, and ignores ``ranks``. method="auto"
+    picks exact when n <= 10. The returned value is floored at 2.2e-16
+    because tinier tail claims are numerically meaningless here.
     """
     if isinstance(rho, bool) or not isinstance(rho, (int, float, np.floating, np.integer)):
         raise ValidationError(f"rho must be a number, got {type(rho).__name__}")
@@ -314,10 +319,15 @@ def rho_significance(rho: float, n: int, method: str = "auto") -> float:
     if method == "exact":
         if n > EXACT_P_MAX_N:
             raise ValidationError(f"exact method supports n <= {EXACT_P_MAX_N}, got {n}")
-        abs_rho, counts = _exact_rho_null(n)
+        if ranks is None:
+            x = y = np.arange(1, n + 1)
+        else:
+            x, y = _as_pair_vectors(*ranks)
+            if x.size != n:
+                raise ValidationError(f"ranks hold {x.size} pairs, not n={n}")
+        abs_rho = _permutation_null(x, y)
         # two-sided: mass at |rho_perm| >= |observed|, tolerant of float fuzz
-        threshold = abs(r) - 1e-12
-        p = float(counts[abs_rho >= threshold].sum()) / float(counts.sum())
+        p = np.count_nonzero(abs_rho >= abs(r) - 1e-12) / abs_rho.size
     elif method == "approx":
         if n < 4:
             raise DegenerateInputError(f"t approximation needs n >= 4, got {n}")
@@ -404,7 +414,7 @@ def correlation_report(x, y, diagnostic_shortcut: bool = False) -> CorrelationRe
         kendall_tau_a=counts.tau_a,
         kendall_tau_b=counts.tau_b,
         rho_estimated_from_tau=tau_to_rho(counts.tau_b),
-        p_value_rho=rho_significance(rho, counts.n),
+        p_value_rho=rho_significance(rho, counts.n, ranks=(x, y)),
         concordant=counts.concordant,
         discordant=counts.discordant,
         ties_x=counts.ties_x,

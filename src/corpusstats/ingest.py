@@ -9,6 +9,7 @@ distinct sources can be parsed concurrently.
 from __future__ import annotations
 
 import os
+import stat
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -96,13 +97,26 @@ def write_utf8(path) -> Iterator[TextIO]:
     ``path`` only when the ``with`` block ends without an exception. On any
     exception the temporary file is removed, so a failed or interrupted
     write leaves neither a partial file nor a changed one at ``path``.
+
+    A symlink keeps its link: the file it resolves to is the one replaced.
+    A path that exists and is not a regular file (a pipe, a terminal,
+    ``/dev/stdout``) cannot be replaced and is written to directly.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

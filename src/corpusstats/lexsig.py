@@ -12,7 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 from .ingest import Document, FrequencyListEntry
@@ -27,16 +29,16 @@ class DfMode(str, Enum):
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Corpus-level statistics backing idf.
+    """Corpus-level statistics backing idf: a view over a stats table.
 
     ``doc_count`` is the (possibly estimated) number of documents behind
-    the counts. In MEASURED_DF mode ``df`` holds real document
-    frequencies; in TC_AS_DF mode ``df`` is empty and df is derived on the
-    fly as min(tc, doc_count).
+    the counts. In MEASURED_DF mode df_hat is the table's df; in TC_AS_DF
+    mode it is min(tc, doc_count), the df column is never read and the
+    table may be a tc-only one. Only the terms idf is asked about are
+    looked up, each by a binary search of the table's sorted terms.
     """
 
-    tc: dict[str, int]
-    df: dict[str, int]
+    table: TermStatsTable
     doc_count: int
     df_mode: DfMode
 
@@ -44,17 +46,31 @@ class BackgroundModel:
         if self.doc_count < 1:
             raise ValidationError(f"doc_count must be >= 1, got {self.doc_count}")
         if self.df_mode is DfMode.MEASURED_DF:
-            for term, df in self.df.items():
-                if df > self.doc_count:
-                    raise ValidationError(
-                        f"term {term!r}: df={df} exceeds doc_count={self.doc_count}"
-                    )
+            df = self.table.count_arrays()[1]
+            if df is None:
+                raise ValidationError("a tc-only table has no df column; use tc_as_df")
+            over = np.flatnonzero(df > self.doc_count)
+            if over.size:
+                raise ValidationError(
+                    f"term {self.table.terms_at(over[:1])[0]!r}: df={int(df[over[0]])}"
+                    f" exceeds doc_count={self.doc_count}"
+                )
+
+    @classmethod
+    def from_mapping(cls, tc: Mapping[str, int], df: Mapping[str, int], doc_count: int,
+                     df_mode: DfMode) -> BackgroundModel:
+        """A model over ``term -> tc`` and ``term -> df`` mappings, for building one by hand.
+
+        A term missing from one mapping counts 0 there.
+        """
+        counts = {term: (tc.get(term, 0), df.get(term, 0)) for term in {*tc, *df}}
+        return cls(TermStatsTable.from_mapping(counts, doc_count), doc_count, DfMode(df_mode))
 
     def df_hat(self, term: str) -> int:
         """The df value idf will use for ``term``; 0 when unseen."""
         if self.df_mode is DfMode.MEASURED_DF:
-            return self.df.get(term, 0)
-        return min(self.tc.get(term, 0), self.doc_count)
+            return self.table.df(term)
+        return min(self.table.tc(term), self.doc_count)
 
 
 def model_from_table(
@@ -62,20 +78,15 @@ def model_from_table(
     df_mode: DfMode = DfMode.MEASURED_DF,
     doc_count: int | None = None,
 ) -> BackgroundModel:
-    """Build a background model from a stats table.
+    """A background model that views ``table``; nothing is copied.
 
     With MEASURED_DF the table's df column and doc_count are used as-is
     (doc_count may be overridden upward, never below the largest df).
     With TC_AS_DF the df column is deliberately ignored so the model
     behaves exactly like one built from a tc-only list.
     """
-    mode = DfMode(df_mode)
     n_hat = table.doc_count if doc_count is None else doc_count
-    terms = table.terms()
-    tc_col, df_col = table.count_arrays()
-    tc = dict(zip(terms, tc_col.tolist()))
-    df = dict(zip(terms, df_col.tolist())) if mode is DfMode.MEASURED_DF else {}
-    return BackgroundModel(tc, df, n_hat, mode)
+    return BackgroundModel(table, n_hat, DfMode(df_mode))
 
 
 def model_from_entries(entries: Iterable[FrequencyListEntry], doc_count: int) -> BackgroundModel:
@@ -84,12 +95,7 @@ def model_from_entries(entries: Iterable[FrequencyListEntry], doc_count: int) ->
     ``doc_count`` must be supplied because a bare list does not know how
     many documents produced it. The model is always TC_AS_DF.
     """
-    tc: dict[str, int] = {}
-    for entry in entries:
-        if entry.term in tc:
-            raise ValidationError(f"duplicate term in entries: {entry.term!r}")
-        tc[entry.term] = entry.count
-    return BackgroundModel(tc, {}, doc_count, DfMode.TC_AS_DF)
+    return BackgroundModel(TermStatsTable.from_entries(entries), doc_count, DfMode.TC_AS_DF)
 
 
 def idf(term: str, model: BackgroundModel) -> float:

@@ -26,7 +26,15 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import MAX_COUNT, Document, check_field, open_utf8, write_utf8
+from .ingest import (
+    MAX_COUNT,
+    Document,
+    FrequencyListEntry,
+    check_field,
+    open_utf8,
+    parse_frequency_list,
+    write_utf8,
+)
 
 _SHARD_SIZE = 256  # documents per worker batch when jobs > 1
 
@@ -34,7 +42,7 @@ _ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
 _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
 _MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
-_TAB, _LF, _CR, _ZERO = b"\t\n\r0"
+_TAB, _LF, _CR, _ZERO, _HASH = b"\t\n\r0#"
 _INT32_MAX = 2**31 - 1  # term buffers up to this size index their newlines with int32
 
 
@@ -47,18 +55,22 @@ class TermStatsTable:
     code-point order, so the buffer sorts exactly as the ``str`` terms do.
     The constructor takes the term buffer and the count columns as they
     are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
+    A frequency list gives a tc-only table (:meth:`from_entries`,
+    :func:`read_frequency_table`): its df column is None and its
+    doc_count 0, since a list carries neither.
     Treated as immutable once built; reads are safe to share across threads.
     """
 
     __slots__ = ("_terms", "_ends", "_tc", "_df", "doc_count")
 
-    def __init__(self, terms: bytes, tc: np.ndarray, df: np.ndarray, doc_count: int):
+    def __init__(self, terms: bytes, tc: np.ndarray, df: np.ndarray | None, doc_count: int):
         self._terms = terms
         ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
         self._ends = ends.astype(np.int32) if len(terms) <= _INT32_MAX else ends
-        if not self._ends.size == tc.size == df.size:
+        df_size = tc.size if df is None else df.size
+        if not self._ends.size == tc.size == df_size:
             raise ValidationError(
-                f"columns differ in length: {self._ends.size} terms, {tc.size} tc, {df.size} df"
+                f"columns differ in length: {self._ends.size} terms, {tc.size} tc, {df_size} df"
             )
         self._tc = tc
         self._df = df
@@ -73,12 +85,42 @@ class TermStatsTable:
         return cls._from_sorted(terms, tc, df, doc_count)
 
     @classmethod
-    def _from_sorted(cls, terms: list[str], tc: Iterable[int], df: Iterable[int],
+    def from_entries(cls, entries: Iterable[FrequencyListEntry]) -> TermStatsTable:
+        """The tc-only table of frequency-list entries; a term may appear only once.
+
+        Entries are consumed one at a time, so a duplicate term raises
+        ValidationError before any later entry is read. They are sorted
+        once at the end if they did not come in ascending order.
+        """
+        terms: list[str] = []
+        counts: list[int] = []
+        seen: set[str] | None = None  # built once terms stop being ascending
+        for entry in entries:
+            term = entry.term
+            if seen is not None or (terms and term <= terms[-1]):
+                if seen is None:
+                    seen = set(terms)
+                if term in seen:
+                    raise ValidationError(f"duplicate term in entries: {term!r}")
+                seen.add(term)
+            terms.append(term)
+            counts.append(entry.count)
+        if seen is not None:
+            order = sorted(range(len(terms)), key=terms.__getitem__)
+            terms = [terms[i] for i in order]
+            counts = [counts[i] for i in order]
+        return cls._from_sorted(terms, counts, None, 0)
+
+    @classmethod
+    def _from_sorted(cls, terms: list[str], tc: Iterable[int], df: Iterable[int] | None,
                      doc_count: int) -> TermStatsTable:
-        """Build the table from sorted ``terms`` and their counts, in that order."""
+        """Build the table from sorted ``terms`` and their counts, in that order.
+
+        ``df`` None gives a tc-only table.
+        """
         try:
             tc_col = np.fromiter(tc, dtype=np.int64, count=len(terms))
-            df_col = np.fromiter(df, dtype=np.int64, count=len(terms))
+            df_col = None if df is None else np.fromiter(df, dtype=np.int64, count=len(terms))
         except OverflowError:
             raise ValidationError("a count exceeds 2**63 - 1") from None
         return cls(_pack_terms(terms), tc_col, df_col, doc_count)
@@ -86,17 +128,18 @@ class TermStatsTable:
     def __len__(self) -> int:
         return self._ends.size
 
-    def _term_bytes(self, i: int) -> bytes:
-        start = int(self._ends[i - 1]) + 1 if i else 0
-        return self._terms[start:int(self._ends[i])]
-
     def _index(self, term: str) -> int | None:
         try:
             key = term.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate: no stored term has one
             return None
-        i = bisect_left(range(len(self)), key, key=self._term_bytes)
-        return i if i < len(self) and self._term_bytes(i) == key else None
+        ends = memoryview(self._ends)  # yields Python ints, twice as fast as numpy scalars
+
+        def term_bytes(i: int) -> bytes:
+            return self._terms[ends[i - 1] + 1 if i else 0:ends[i]]
+
+        i = bisect_left(range(len(ends)), key, key=term_bytes)
+        return i if i < len(ends) and term_bytes(i) == key else None
 
     def __contains__(self, term: str) -> bool:
         return self._index(term) is not None
@@ -108,6 +151,8 @@ class TermStatsTable:
 
     def df(self, term: str) -> int:
         """Number of documents containing ``term``, 0 if unseen."""
+        if self._df is None:
+            raise ValidationError("a tc-only table has no df column")
         i = self._index(term)
         return 0 if i is None else int(self._df[i])
 
@@ -137,8 +182,9 @@ class TermStatsTable:
             terms[lo:lo + chunk.size] = decoded[:-1]  # the last is empty: after the final newline
         return terms
 
-    def count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tc, df) as parallel int64 arrays in sorted-term order (the stored columns)."""
+    def count_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(tc, df) as parallel int64 arrays in sorted-term order (the stored
+        columns); df is None for a tc-only table."""
         return self._tc, self._df
 
     def as_mapping(self) -> dict[str, tuple[int, int]]:
@@ -154,7 +200,7 @@ class TermStatsTable:
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
-                f"term {self._term_bytes(i).decode('utf-8')!r}: need 1 <= df <= tc and"
+                f"term {self.terms_at(bad[:1])[0]!r}: need 1 <= df <= tc and"
                 f" df <= doc_count, got tc={tc[i]} df={df[i]} doc_count={self.doc_count}"
             )
 
@@ -266,6 +312,8 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
         if len(source) == 0:
             raise ValidationError("no terms to histogram")
         column = source.count_arrays()[0 if which == "tc" else 1]
+        if column is None:
+            raise ValidationError("a tc-only table has no df column; use which='tc'")
         values, counts = np.unique(column, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
     if which != "tc":
@@ -318,31 +366,45 @@ def read_stats(path) -> TermStatsTable:
     return table if table is not None else _read_lines(path)
 
 
-def _read_blocks(path: Path) -> TermStatsTable | None:
-    """Read a clean table in blocks of whole lines; None if any block is not clean.
+def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
+    """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields.
 
-    Clean means: LF line ends, no blank line, a final newline, exactly two
-    tabs per row, a non-empty term, valid UTF-8, counts of 1 to 19 ASCII
-    digits with 1 <= df <= tc <= 2**63 - 1 and df <= N, and terms strictly
-    ascending, also from one block to the next. The blocks are read into
-    one reused buffer; a line longer than the buffer doubles it. Only
-    regular files are read this way, since the line loop reads again from
-    the start.
+    A list of term-sorted ``term<TAB>count`` rows with LF line ends, a
+    final newline and ``#`` lines only before the first row is read in
+    blocks (:func:`_read_blocks`). Any other list, faulty ones included,
+    goes through the line loop of :func:`parse_frequency_list` and is
+    sorted once, which gives the same table and the same errors.
+    """
+    path = Path(path)
+    table = _read_blocks(path, columns=1)
+    if table is not None:
+        return table
+    return TermStatsTable.from_entries(parse_frequency_list(path, keep_lemmatized))
+
+
+def _read_blocks(path: Path, columns: int = 2) -> TermStatsTable | None:
+    """Read a clean file in blocks of whole lines; None if any block is not clean.
+
+    ``columns`` is 2 for a stats table (a ``#N=`` header, then
+    ``term<TAB>tc<TAB>df`` rows) and 1 for a frequency list (leading ``#``
+    lines, then ``term<TAB>count`` rows, read into a tc-only table).
+    Clean means: LF line ends, no blank line, a final newline, exactly
+    ``columns`` tabs per row, a non-empty term, valid UTF-8, counts of 1
+    to 19 ASCII digits no larger than 2**63 - 1 (a list's counts >= 1, a
+    table's 1 <= df <= tc and df <= N), and terms strictly ascending, also
+    from one block to the next. The blocks are read into one reused
+    buffer; a line longer than the buffer doubles it. Only regular files
+    are read this way, since the line loop reads again from the start.
     """
     if not path.is_file():  # a pipe cannot be read again by the line loop
         return None
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        header = fh.readline(len(b"#N=") + _MAX_DIGITS + 1)
-        digits = header[3:-1]
-        if not (header.startswith(b"#N=") and header.endswith(b"\n") and digits.isdigit()):
-            return None
-        doc_count = int(digits)
-        if doc_count > MAX_COUNT:
+        doc_count = _read_header(fh) if columns == 2 else _skip_comments(fh)
+        if doc_count is None:
             return None
         terms = bytearray()
-        tc_col = np.zeros(0, dtype=np.int64)
-        df_col = np.zeros(0, dtype=np.int64)
+        cols = [np.zeros(0, dtype=np.int64) for _ in range(columns)]
         rows = 0
         last = b""  # sorts before every term, which is non-empty
         buf = bytearray(_BLOCK_SIZE)
@@ -358,59 +420,91 @@ def _read_blocks(path: Path) -> TermStatsTable | None:
                     view = memoryview(buf)
                 kept = end
                 continue
-            block = _scan_block(np.frombuffer(buf, dtype=np.uint8, count=cut), doc_count, last)
+            block = _scan_block(np.frombuffer(buf, dtype=np.uint8, count=cut), doc_count, last, columns)
             if block is None:
                 return None
-            block_terms, tc, df, last = block
+            block_terms, counts, last = block
             terms += block_terms
-            if rows + tc.size > tc_col.size:
+            n = counts[0].size
+            if rows + n > cols[0].size:
                 # room for the rows the rest of the file holds at this block's density
                 unread = max(file_size - fh.tell(), 0) + end - cut  # the file may have grown
-                capacity = rows + tc.size + int(tc.size * unread / cut * 1.05)
-                tc_col.resize(capacity, refcheck=False)
-                df_col.resize(capacity, refcheck=False)
-            tc_col[rows:rows + tc.size] = tc
-            df_col[rows:rows + tc.size] = df
-            rows += tc.size
+                capacity = rows + n + int(n * unread / cut * 1.05)
+                for col in cols:
+                    col.resize(capacity, refcheck=False)
+            for col, count in zip(cols, counts):
+                col[rows:rows + n] = count
+            rows += n
             buf[:end - cut] = buf[cut:end]  # a copy: the two ranges may overlap
             kept = end - cut
         if kept:  # no final newline
             return None
-    tc_col.resize(rows, refcheck=False)
-    df_col.resize(rows, refcheck=False)
+    for col in cols:
+        col.resize(rows, refcheck=False)
     terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
-    return TermStatsTable(terms, tc_col, df_col, doc_count)
+    return TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
 
 
-def _scan_block(data: np.ndarray, doc_count: int, last: bytes):
-    """Check and parse one block of whole lines.
+def _read_header(fh) -> int | None:
+    """A stats table's doc_count from its ``#N=`` line, or None if the line is not clean."""
+    header = fh.readline(len(b"#N=") + _MAX_DIGITS + 1)
+    digits = header[3:-1]
+    if not (header.startswith(b"#N=") and header.endswith(b"\n") and digits.isdigit()):
+        return None
+    doc_count = int(digits)
+    return doc_count if doc_count <= MAX_COUNT else None
 
-    Returns the block's term buffer, its tc and df as int64 and its last
-    term, or None if :func:`_read_blocks` must leave the file to the line
-    loop. ``last`` is the previous block's last term.
+
+def _skip_comments(fh) -> int | None:
+    """Skip a frequency list's leading ``#`` lines; 0, the doc_count of a
+    tc-only table, or None if one of them is not clean."""
+    while fh.peek(1)[:1] == b"#":
+        line = fh.readline()
+        if not line.endswith(b"\n") or b"\r" in line:
+            return None
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return 0
+
+
+def _scan_block(data: np.ndarray, doc_count: int, last: bytes, columns: int):
+    """Check and parse one block of whole lines with ``columns`` counts per row.
+
+    Returns the block's term buffer, its count columns as int64 and its
+    last term, or None if :func:`_read_blocks` must leave the file to the
+    line loop. ``last`` is the previous block's last term.
     """
     ends = np.flatnonzero(data == _LF)
     tabs = np.flatnonzero(data == _TAB)
-    if tabs.size != 2 * ends.size or (data == _CR).any():
+    if tabs.size != columns * ends.size or (data == _CR).any():
         return None
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    tab1, tab2 = tabs[0::2], tabs[1::2]
-    # Each line holds its own pair of tabs, and no field is empty.
-    if not ((tab1 > starts).all() and (tab2 > tab1 + 1).all() and (ends > tab2 + 1).all()):
+    row_tabs = [tabs[k::columns] for k in range(columns)]  # each row's k-th tab
+    # A row's fields: the term, then the counts, each ended by a tab or the newline.
+    field_starts = [starts, *(tab + 1 for tab in row_tabs)]
+    field_ends = [*row_tabs, ends]
+    # Each line holds its own tabs, and no field is empty.
+    if not all((end > start).all() for start, end in zip(field_starts, field_ends)):
         return None
-    tc = _parse_counts(data, tab1 + 1, tab2)
-    df = _parse_counts(data, tab2 + 1, ends)
-    if tc is None or df is None:
+    counts = [_parse_counts(data, start, end) for start, end in zip(field_starts[1:], field_ends[1:])]
+    if any(count is None for count in counts):
         return None
-    if not ((tc <= MAX_COUNT).all() and (df >= 1).all() and (df <= tc).all()
-            and (df <= doc_count).all()):
+    tc = counts[0]
+    if columns == 2:
+        df = counts[1]
+        clean = (df >= 1).all() and (df <= tc).all() and (df <= doc_count).all()
+    else:  # a frequency list, whose line loop skips any line starting with '#'
+        clean = (tc >= 1).all() and not (data[starts] == _HASH).any()
+    if not (clean and (tc <= MAX_COUNT).all()):
         return None
     # Keep each term and the tab after it, then turn those tabs into newlines.
     marks = np.zeros(data.size, dtype=np.int8)
     marks[starts] = 1
-    marks[tab1 + 1] = -1
+    marks[row_tabs[0] + 1] = -1
     packed = data[np.cumsum(marks, dtype=np.int8).view(np.bool_)]
     packed[packed == _TAB] = _LF
     terms = packed.tobytes()
@@ -423,7 +517,7 @@ def _scan_block(data: np.ndarray, doc_count: int, last: bytes):
     rows.pop()
     if not (last < rows[0] and all(map(operator.lt, rows, itertools.islice(rows, 1, None)))):
         return None
-    return terms, tc.view(np.int64), df.view(np.int64), rows[-1]
+    return terms, [count.view(np.int64) for count in counts], rows[-1]
 
 
 def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:

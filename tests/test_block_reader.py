@@ -1,22 +1,25 @@
-"""The stats reader's block scan against a reference parser, at several block sizes.
+"""The block scan of stats tables and frequency lists against reference parsers,
+at several block sizes.
 
-``read_stats`` reads a clean table in blocks of whole lines and leaves any
-other file to its line loop. These tests shrink the block size so that
-block boundaries fall inside rows, inside multi-byte characters and
-between out-of-order rows, and require the same table, or the same
-``path:line: message``, at every size.
+``read_stats`` and ``read_frequency_table`` read a clean file in blocks of
+whole lines and leave any other file to a line loop. These tests shrink
+the block size so that block boundaries fall inside rows, inside
+multi-byte characters and between out-of-order rows, and require the same
+table, or the same ``path:line: message``, at every size.
 """
 
+import io
 import os
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusstats import ParseError, read_stats, stats
+from corpusstats.cli import main
 
 MAX_COUNT = 2**63 - 1
 BLOCK_SIZES = [1, 7, 64, 2**20]
@@ -196,3 +199,185 @@ def test_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert table.as_mapping() == {"a": (1, 1), "b": (2, 1)}
+
+
+# Frequency lists: the same block scan with one count column, read into a
+# tc-only table. A clean list is term-sorted ``term<TAB>count`` rows with LF
+# line ends, a final newline and ``#`` lines only at the top; any other list
+# goes to parse_frequency_list's line loop, with the same table or the same
+# error.
+
+
+def list_reference(data: bytes, keep_lemmatized: bool):
+    """Sorted terms and counts of a valid list, by the documented format."""
+    rows = {}
+    for line in re.split("\r\n|\r|\n", data.decode("utf-8")):
+        if not line or line.startswith("#"):
+            continue
+        term, count, *flag = line.split("\t")
+        if flag and not keep_lemmatized:
+            continue
+        assert term not in rows
+        rows[term] = int(count)
+    terms = sorted(rows)
+    return terms, [rows[t] for t in terms]
+
+
+def read_list_at(path, size, keep_lemmatized=False):
+    with block_size(size):
+        table = stats.read_frequency_table(path, keep_lemmatized)
+    tc, df = table.count_arrays()
+    assert df is None and table.doc_count == 0
+    return table.terms(), tc.tolist()
+
+
+def list_blocks_at(path, size):
+    with block_size(size):
+        return stats._read_blocks(path, columns=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(terms_st, min_size=0, max_size=12, unique=True),
+    data=st.data(),
+    shuffle=st.randoms(use_true_random=False),
+    unsorted=st.booleans(),
+    crlf=st.booleans(),
+    leading=st.sampled_from(["", "# term<TAB>count\n", "#\n# two lines, café\n"]),
+    middle=st.sampled_from([None, "", "# a comment", "#x\t5"]),
+    lemmas=st.booleans(),
+    keep_lemmatized=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_every_block_size_reads_the_reference_list(
+    table_dir, terms, data, shuffle, unsorted, crlf, leading, middle, lemmas, keep_lemmatized,
+    final_newline,
+):
+    rows = [f"{t}\t{data.draw(counts_st)}" for t in sorted(terms)]
+    # the layout the block scan reads; any change to it leaves the list to the line loop
+    canonical = leading + "".join(f"{row}\n" for row in rows)
+    if unsorted:
+        shuffle.shuffle(rows)
+    if lemmas:  # a lemma row of a term no surface row has
+        rows.append(f"{'L' + (terms[0] if terms else '')}\t7\tL")
+    if middle is not None and rows:  # after the first row: a line that is not at the top
+        rows.insert(max(1, len(rows) // 2), middle)
+    eol = "\r\n" if crlf else "\n"
+    text = leading.replace("\n", eol) + eol.join(rows) + (eol if final_newline and rows else "")
+    path = table_dir / "words.freq"
+    path.write_bytes(text.encode("utf-8"))
+    want = list_reference(path.read_bytes(), keep_lemmatized)
+    clean = text == canonical
+    for size in BLOCK_SIZES:
+        assert read_list_at(path, size, keep_lemmatized) == want, size
+        assert (list_blocks_at(path, size) is not None) == clean, size
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_hash_row_in_sorted_position_is_still_a_comment(table_dir, size):
+    # ' ' sorts before '#', so this row is in term order, but the line loop
+    # skips any line that starts with '#'
+    path = table_dir / "hash.freq"
+    path.write_text(" a\t1\n#x\t5\nb\t2\n", encoding="utf-8")
+    assert read_list_at(path, size) == ([" a", "b"], [1, 2])
+
+
+# Faults for one list row, with the message the line loop gives.
+LIST_FAULTS = {
+    "count_not_digits": (lambda t: f"{t}\t1_0", "count is not a plain integer: '1_0'"),
+    "count_arabic_digit": (lambda t: f"{t}\t٣", "count is not a plain integer: '٣'"),
+    "count_empty": (lambda t: f"{t}\t", "count is not a plain integer: ''"),
+    "count_zero": (lambda t: f"{t}\t0", "count must be >= 1, got 0"),
+    "count_two_to_the_63": (lambda t: f"{t}\t{2**63}", f"count exceeds 2**63 - 1: {2**63}"),
+    "count_twenty_digits": (lambda t: f"{t}\t{10**19}", f"count exceeds 2**63 - 1: {10**19}"),
+    "empty_term": (lambda t: "\t3", "empty term"),
+    "one_field": (lambda t: t, "expected term<TAB>count<TAB>[L], got 1 fields"),
+    "four_fields": (lambda t: f"{t}\t3\tL\t1", "expected term<TAB>count<TAB>[L], got 4 fields"),
+    "unknown_flag": (lambda t: f"{t}\t3\tl", "unknown row flag 'l' (only 'L' is defined)"),
+    "duplicate": (None, "duplicate term"),
+}
+
+
+def lexsig_error(path, tmp_dir, keep_lemmatized=False):
+    """Exit code and stderr of ``lexsig --freq-list path``."""
+    doc = tmp_dir / "doc.txt"
+    doc.write_text("a b\n", encoding="utf-8")
+    args = ["lexsig", "--freq-list", str(path), "--n-hat", "9", "--doc", str(doc),
+            "--out", str(tmp_dir / "sig.tsv")]
+    if keep_lemmatized:
+        args.append("--keep-lemmatized")
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        code = main(args)
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(terms_st, min_size=4, max_size=12, unique=True),
+    data=st.data(),
+    fault=st.sampled_from(sorted(LIST_FAULTS)),
+)
+def test_a_bad_list_row_in_a_later_block_names_its_line_at_every_size(table_dir, terms, data, fault):
+    terms.sort()
+    rows = [f"{t}\t{data.draw(counts_st)}" for t in terms]
+    at = data.draw(st.integers(len(rows) // 2, len(rows) - 1))
+    make_row, message = LIST_FAULTS[fault]
+    if make_row is None:
+        rows.insert(at, rows[at - 1])
+    else:
+        rows[at] = make_row(terms[at])
+    path = table_dir / "bad.freq"
+    path.write_bytes(("\n".join(["# words"] + rows) + "\n").encode("utf-8"))
+    line = at + 2  # after the comment, 1-based
+    for size in BLOCK_SIZES:
+        with block_size(size):
+            code, stderr = lexsig_error(path, table_dir)
+            with pytest.raises(ParseError) as err:
+                stats.read_frequency_table(path)
+        assert code == 2
+        assert stderr == f"error: {err.value}\n"
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_invalid_utf8_in_a_later_list_block_names_its_line(table_dir, size):
+    rows = [f"t{i:03d}\t5".encode() for i in range(40)]
+    rows[30] = b"t030\xe9\t5"
+    path = table_dir / "latin1.freq"
+    path.write_bytes(b"\n".join([b"# words"] + rows) + b"\n")
+    with block_size(size):
+        code, stderr = lexsig_error(path, table_dir)
+    assert (code, stderr) == (2, f"error: {path}:32: not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_invalid_utf8_in_a_leading_comment_names_its_line(table_dir, size):
+    path = table_dir / "latin1_comment.freq"
+    path.write_bytes(b"# words\n# caf\xe9\na\t5\n")
+    with block_size(size):
+        code, stderr = lexsig_error(path, table_dir)
+    assert (code, stderr) == (2, f"error: {path}:2: not valid UTF-8\n")
+
+
+def test_a_lemma_row_of_a_surface_term_is_a_duplicate_when_kept(table_dir):
+    path = table_dir / "lemma.freq"
+    path.write_text("a\t5\nb\t3\na\t2\tL\nb\t1\n", encoding="utf-8")
+    assert lexsig_error(path, table_dir) == (
+        2, f"error: {path}:4: duplicate term 'b'; refusing to re-aggregate\n")
+    # kept, the lemma row of line 3 is a second 'a' before the line loop reaches line 4
+    assert lexsig_error(path, table_dir, keep_lemmatized=True) == (
+        2, "error: duplicate term in entries: 'a'\n")
+
+
+def test_a_list_from_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
+    fifo = tmp_path / "words.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("# w\nb\t2\na\t1\n",), daemon=True)
+    writer.start()
+    try:
+        table = stats.read_frequency_table(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (table.terms(), table.count_arrays()[0].tolist()) == (["a", "b"], [1, 2])

@@ -125,6 +125,20 @@ class TestCorrelate:
         assert rows["concordant"] == "21" and rows["discordant"] == "3"
         assert "spearman_rho_shortcut" not in rows
 
+    def test_exact_p_value_keeps_the_ties(self, tmp_path):
+        # competition ranks tc (1,2,2,4,4,4,7,8) and df (1,1,3,3,5,5,7,7): the
+        # orderings of the tied df ranks give p = 24/5040, not the tie-free 0.00223
+        tc = [100, 90, 90, 80, 80, 80, 70, 60]
+        df = [50, 50, 40, 40, 30, 30, 20, 20]
+        table = tmp_path / "tied.stats"
+        table.write_text("#N=50\n" + "".join(
+            f"t{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(zip(tc, df))), encoding="utf-8")
+        out = tmp_path / "report.tsv"
+        run_ok(["correlate", "--stats", str(table), "--out", str(out)])
+        rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines())
+        assert rows["n"] == "8"
+        assert rows["p_value_rho"] == repr(24 / 5040)
+
     def test_json_report(self, song_stats_file, tmp_path):
         out = tmp_path / "report.json"
         run_ok(["correlate", "--stats", str(song_stats_file), "--out", str(out),

@@ -17,6 +17,7 @@ from corpusstats import (
     kendall_tau_fast,
     kendall_tau_naive,
     prefix_correlation_curve,
+    rank_values,
     rho_significance,
     spearman_rho,
     spearman_rho_shortcut,
@@ -290,6 +291,23 @@ def brute_force_exact_p(rho, n):
     return hits / total
 
 
+def brute_force_tied_exact_p(x, y):
+    """Independent oracle: fraction of orderings of the observed y ranks
+    whose covariance with x is at least as extreme, in exact fractions."""
+    from fractions import Fraction
+    from itertools import permutations
+
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+
+    def covariance(ys):
+        return abs(sum((a - mean_x) * (b - mean_y) for a, b in zip(x, ys)))
+
+    observed = covariance(y)
+    orderings = list(permutations(y))
+    return sum(covariance(ys) >= observed for ys in orderings) / len(orderings)
+
+
 class TestRhoSignificance:
     def test_exact_n8_frozen_case(self):
         # y = [1,3,2,5,4,7,6,8] against identity: ssd = 6, rho = 13/14
@@ -300,6 +318,32 @@ class TestRhoSignificance:
         for n, rho in [(4, 0.9), (5, -0.7), (6, 0.371428), (7, 1.0)]:
             want = brute_force_exact_p(rho, n)
             assert rho_significance(rho, n, method="exact") == pytest.approx(want, abs=1e-15)
+
+    def test_exact_null_keeps_the_observed_ties(self):
+        # competition ranks with ties in both vectors; the tie-free null of
+        # 1..8 gives 0.0022 here, the orderings of these y ranks 24/5040
+        x = (1, 2, 2, 4, 4, 4, 7, 8)
+        y = (1, 1, 3, 3, 5, 5, 7, 7)
+        report = correlation_report(x, y)
+        assert report.p_value_rho == 24 / 5040
+        assert report.p_value_rho == brute_force_tied_exact_p(x, y)
+        assert rho_significance(report.spearman_rho, 8, ranks=(x, y)) == 24 / 5040
+
+    def test_exact_matches_brute_force_on_tied_ranks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(3, 8))
+            x = fractional_rank(rng.integers(0, 3, n)).tolist()
+            y = rank_values(rng.integers(0, 4, n)).tolist()
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            rho = spearman_rho(x, y)
+            got = rho_significance(rho, n, ranks=(x, y))
+            assert got == pytest.approx(brute_force_tied_exact_p(x, y), abs=1e-15), (x, y)
+
+    def test_ranks_must_hold_n_pairs(self):
+        with pytest.raises(ValidationError):
+            rho_significance(0.5, 5, ranks=([1, 2, 3], [3, 2, 1]))
 
     def test_auto_dispatch(self):
         assert rho_significance(0.5, 10) == rho_significance(0.5, 10, method="exact")

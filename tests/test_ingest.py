@@ -1,6 +1,9 @@
 """Tokenizer, corpus readers, and frequency-list parsers."""
 
+import os
+import stat
 import sys
+import threading
 import unicodedata
 
 import pytest
@@ -316,3 +319,44 @@ class TestWriteUtf8:
         write_frequency_list([FrequencyListEntry("caf\u00e9", 2)], target)
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == "caf\u00e9\t2\n".encode("utf-8")
+
+    def test_symlink_keeps_its_link_and_replaces_its_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.tsv"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        with write_utf8(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == b"new\n"
+        # the temporary file went next to the target and is gone
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.tsv", "out.tsv", "real"]
+
+    def test_failed_write_through_a_symlink_keeps_the_target(self, tmp_path):
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        with pytest.raises(RuntimeError):
+            with write_utf8(link) as fh:
+                fh.write("partial\n")
+                raise RuntimeError()
+        assert link.is_symlink() and target.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "out.tsv"]
+
+    def test_fifo_is_written_to_directly(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            with write_utf8(fifo) as fh:
+                fh.write("café\t2\n")
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["café\t2\n".encode("utf-8")]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]

@@ -1,9 +1,14 @@
 """idf, tf-idf, signatures, and the measured-vs-proxy comparison."""
 
+import io
+import json
 import math
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusstats import (
     BackgroundModel,
@@ -20,6 +25,7 @@ from corpusstats import (
     tf_idf,
     top_terms_by_weight,
 )
+from corpusstats.cli import main
 from corpusstats.ingest import FrequencyListEntry
 
 LOG2 = math.log10(2.0)   # idf of a df=2 term when N=5
@@ -59,7 +65,7 @@ class TestIdf:
     def test_non_increasing_in_df(self):
         previous = math.inf
         for df in range(1, 21):
-            model = BackgroundModel({"t": 100}, {"t": df}, 20, DfMode.MEASURED_DF)
+            model = BackgroundModel.from_mapping({"t": 100}, {"t": df}, 20, DfMode.MEASURED_DF)
             value = idf("t", model)
             assert value <= previous
             previous = value
@@ -86,7 +92,7 @@ class TestIdf:
 
     def test_doc_count_below_one_rejected(self):
         with pytest.raises(ValidationError):
-            BackgroundModel({}, {}, 0, DfMode.TC_AS_DF)
+            BackgroundModel.from_mapping({}, {}, 0, DfMode.TC_AS_DF)
 
 
 class TestTf:
@@ -242,3 +248,161 @@ class TestCompareSignatures:
         rows = compare_signatures(song_docs, song_model, song_model, k=4)
         assert all(r.displaced is False for r in rows)
         assert all(r.overlap == r.size_a == r.size_b for r in rows)
+
+
+class DictModel:
+    """Reference background model: the tc and df columns copied into dicts.
+
+    Duck-types BackgroundModel for idf (``doc_count`` and ``df_hat``), so the
+    library's signature code can score documents against it.
+    """
+
+    def __init__(self, tc, df, doc_count, df_mode):
+        if doc_count < 1:
+            raise ValidationError(f"doc_count must be >= 1, got {doc_count}")
+        if df_mode is DfMode.MEASURED_DF:
+            for term in sorted(df):
+                if df[term] > doc_count:
+                    raise ValidationError(f"term {term!r}: df={df[term]} exceeds doc_count={doc_count}")
+        self.tc, self.df, self.doc_count, self.df_mode = tc, df, doc_count, df_mode
+
+    def df_hat(self, term):
+        if self.df_mode is DfMode.MEASURED_DF:
+            return self.df.get(term, 0)
+        return min(self.tc.get(term, 0), self.doc_count)
+
+
+# ASCII, two-, three- and four-byte UTF-8 letters, each its own lowercase form
+LETTERS = ["a", "b", "z", "\xe9", "\xdf", "ж", "日", "\U0001d51e"]
+words_st = st.text(alphabet=st.sampled_from(LETTERS), min_size=1, max_size=4)
+MISSING = ["zzzzz", "жжжжж", "\U0001d51e\U0001d51e\U0001d51e\U0001d51e\U0001d51e"]
+
+
+@st.composite
+def backgrounds(draw):
+    """Terms with 1 <= df <= tc, N >= every df, and an --n-hat above or below the largest df."""
+    terms = sorted(draw(st.lists(words_st, max_size=10, unique=True)))
+    counts = {}
+    for term in terms:
+        df = draw(st.integers(1, 12))
+        counts[term] = (df + draw(st.integers(0, 20)), df)
+    top = max([df for _, df in counts.values()], default=1)
+    doc_count = top + draw(st.integers(0, 3))
+    n_hat = draw(st.one_of(st.none(), st.integers(1, top + 4)))
+    return counts, doc_count, n_hat
+
+
+def signature_output(signatures, fmt):
+    if fmt == "json":
+        payload = {s.doc_id: [[t, w] for t, w in s.terms] for s in signatures}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(f"{s.doc_id}\t{t}\t{w!r}\n" for s in signatures for t, w in s.terms)
+
+
+def comparison_output(rows, fmt):
+    if fmt == "json":
+        payload = [{"doc": r.doc_id, "size_measured": r.size_a, "size_proxy": r.size_b,
+                    "overlap": r.overlap, "tau_b_shared": r.tau_b_shared,
+                    "displaced": r.displaced} for r in rows]
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(
+        f"{r.doc_id}\t{r.size_a}\t{r.size_b}\t{r.overlap}\t"
+        f"{'NA' if r.tau_b_shared is None else repr(r.tau_b_shared)}\t"
+        f"{'true' if r.displaced else 'false'}\n"
+        for r in rows
+    )
+
+
+def expected(reference):
+    """What the CLI prints for ``reference()``: (exit code, stdout file text, stderr)."""
+    try:
+        return 0, reference(), ""
+    except ValidationError as exc:
+        return 2, None, f"error: {exc}\n"
+
+
+def run_cli(args, out):
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        code = main([*args, "--out", str(out)])
+    return code, out.read_text(encoding="utf-8") if out.exists() else None, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def view_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("view")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    background=backgrounds(),
+    data=st.data(),
+    tc_as_df=st.booleans(),
+    normalized_tf=st.booleans(),
+    keep_lemmatized=st.booleans(),
+    k=st.integers(1, 6),
+    fmt=st.sampled_from(["tsv", "json"]),
+)
+def test_cli_signatures_match_the_dict_model(view_dir, background, data, tc_as_df, normalized_tf,
+                                             keep_lemmatized, k, fmt):
+    counts, doc_count, n_hat = background
+    vocabulary = sorted(counts) + MISSING
+    docs = [
+        Document(f"d{i}", data.draw(st.lists(st.sampled_from(vocabulary), max_size=12)))
+        for i in range(data.draw(st.integers(1, 3)))
+    ]
+    doc_args = []
+    for doc in docs:
+        path = view_dir / f"{doc.id}.txt"
+        path.write_text(" ".join(doc.tokens) + "\n", encoding="utf-8")
+        doc_args += ["--doc", str(path)]
+    stats_path = view_dir / "background.stats"
+    stats_path.write_text(
+        f"#N={doc_count}\n" + "".join(f"{t}\t{tc}\t{df}\n" for t, (tc, df) in counts.items()),
+        encoding="utf-8",
+    )
+    # a tc-only list of the same terms, plus lemma rows of some of them and of a missing term
+    lemmas = data.draw(st.lists(st.sampled_from(vocabulary), max_size=2, unique=True))
+    list_rows = [(t, tc, False) for t, (tc, _) in counts.items()] + [(t, 3, True) for t in lemmas]
+    list_path = view_dir / "background.freq"
+    list_path.write_text("# term<TAB>count\n" + "".join(
+        f"{t}\t{c}\tL\n" if lemma else f"{t}\t{c}\n" for t, c, lemma in list_rows
+    ), encoding="utf-8")
+
+    tc = {t: c for t, (c, _) in counts.items()}
+    df = {t: d for t, (_, d) in counts.items()}
+    n = doc_count if n_hat is None else n_hat
+    mode = DfMode.TC_AS_DF if tc_as_df else DfMode.MEASURED_DF
+    flags = [*doc_args, "--k", str(k), "--format", fmt]
+    flags += ["--normalized-tf"] if normalized_tf else []
+    n_flag = [] if n_hat is None else ["--n-hat", str(n_hat)]
+    out = view_dir / "out"
+
+    def signatures(model):
+        return signature_output([lexical_signature(d, model, k, normalized_tf) for d in docs], fmt)
+
+    args = ["lexsig", "--stats", str(stats_path), *n_flag, *flags] + (["--tc-as-df"] if tc_as_df else [])
+    assert run_cli(args, out) == expected(lambda: signatures(DictModel(tc, df, n, mode)))
+
+    def comparison():
+        measured = DictModel(tc, df, n, DfMode.MEASURED_DF)
+        proxy = DictModel(tc, {}, n, DfMode.TC_AS_DF)
+        return comparison_output(compare_signatures(docs, measured, proxy, k, normalized_tf), fmt)
+
+    args = ["compare-sig", "--stats", str(stats_path), *n_flag, *flags]
+    assert run_cli(args, out) == expected(comparison)
+
+    def freq_list_signatures():
+        list_tc = {}
+        for term, count, lemma in list_rows:
+            if lemma and not keep_lemmatized:
+                continue
+            if term in list_tc:
+                raise ValidationError(f"duplicate term in entries: {term!r}")
+            list_tc[term] = count
+        return signatures(DictModel(list_tc, {}, n, DfMode.TC_AS_DF))
+
+    args = ["lexsig", "--freq-list", str(list_path), "--n-hat", str(n), *flags]
+    args += ["--keep-lemmatized"] if keep_lemmatized else []
+    assert run_cli(args, out) == expected(freq_list_signatures)

@@ -150,10 +150,14 @@ class TestFrequencyOfFrequencies:
         entries = [FrequencyListEntry("a", 5), FrequencyListEntry("b", 5),
                    FrequencyListEntry("c", 2)]
         assert frequency_of_frequencies(entries, "tc") == {5: 2, 2: 1}
+        tc_only = TermStatsTable.from_entries(entries)
+        assert frequency_of_frequencies(tc_only, "tc") == {5: 2, 2: 1}
 
     def test_df_requires_a_table(self):
         with pytest.raises(ValidationError):
             frequency_of_frequencies([FrequencyListEntry("a", 5)], "df")
+        with pytest.raises(ValidationError):
+            frequency_of_frequencies(TermStatsTable.from_entries([FrequencyListEntry("a", 5)]), "df")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
