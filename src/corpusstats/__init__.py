@@ -33,6 +33,7 @@ from .ingest import (
 from .stats import (
     TermStatsTable,
     compute_tc_df,
+    count_corpus,
     frequency_of_frequencies,
     merge,
     read_frequency_table,

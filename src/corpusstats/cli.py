@@ -32,7 +32,7 @@ from .ingest import (
     open_utf8,
     parse_frequency_list,
     parse_ngram_counts,
-    read_corpus,
+    read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
     tokenize,
     write_utf8,
 )
@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separator", default=DEFAULT_SEPARATOR,
                    help="document separator line for stream mode")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"counting threads (default: ${JOBS_ENV_VAR} or 1); output is "
-                        "identical for any N, and N > 1 is not faster today")
+                   help=f"counting processes (default: ${JOBS_ENV_VAR} or 1), at most one "
+                        "per usable CPU; output is identical for any N")
     add_tokenizer_flags(p)
 
     p = sub.add_parser("rank", help="rank a stats table's terms")
@@ -242,8 +242,7 @@ def _write_report(rows, path: Path, fmt: str) -> None:
 
 def _cmd_count(args: argparse.Namespace) -> None:
     tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
-    documents = read_corpus(args.corpus, tokenizer, args.separator)
-    table = stats.compute_tc_df(documents, jobs=_effective_jobs(args))
+    table = stats.count_corpus(args.corpus, tokenizer, args.separator, _effective_jobs(args))
     stats.write_stats(table, args.out)
 
 

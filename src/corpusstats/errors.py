@@ -28,7 +28,12 @@ class ParseError(CorpusStatsError):
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = int(line_no)
+        self.message = message
         super().__init__(f"{self.path}:{self.line_no}: {message}")
+
+    def __reduce__(self):
+        # pickle calls the class with self.args, the one formatted string
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class ValidationError(CorpusStatsError):

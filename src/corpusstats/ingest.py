@@ -9,6 +9,7 @@ distinct sources can be parsed concurrently.
 from __future__ import annotations
 
 import os
+import re
 import stat
 import unicodedata
 from contextlib import contextmanager
@@ -23,6 +24,8 @@ MAX_COUNT = 2**63 - 1
 
 #: Line that separates documents in single-stream corpus files.
 DEFAULT_SEPARATOR = "%%DOC%%"
+
+_STREAM_BLOCK = 1 << 18  # bytes a stream shard reads at a time
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,9 @@ class TokenizerConfig:
 
 def _strip_edges(token: str) -> str:
     start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
+    while start < end and unicodedata.category(token[start])[0] == "P":
         start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+    while end > start and unicodedata.category(token[end - 1])[0] == "P":
         end -= 1
     return token[start:end]
 
@@ -51,19 +54,23 @@ def _strip_edges(token: str) -> str:
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into normalized tokens. Pure and deterministic."""
     cfg = config or TokenizerConfig()
-    strip = cfg.strip_edge_punctuation
-    tokens = []
-    for raw in text.split():
+    if cfg.lowercase:
+        # The same tokens as lowering each token after stripping it: lower()
+        # keeps punctuation (P*) as it is and puts none at either end of what
+        # it returns for another character; punctuation is never cased, and
+        # whitespace is neither cased nor case-ignorable, so the context of
+        # a final sigma ends at the token's edges either way.
+        text = text.lower()
+    tokens = text.split()
+    if not cfg.strip_edge_punctuation:
+        return tokens
+    for i, raw in enumerate(tokens):
         # No character is both alphanumeric and punctuation (category P*),
         # so a token with alphanumeric ends has nothing to strip.
-        if strip and not (raw[0].isalnum() and raw[-1].isalnum()):
-            tok = _strip_edges(raw)
-        else:
-            tok = raw
-        if cfg.lowercase:
-            tok = tok.lower()
-        if tok:
-            tokens.append(tok)
+        if not raw.isalnum() and not (raw[0].isalnum() and raw[-1].isalnum()):
+            tokens[i] = _strip_edges(raw)
+    if "" in tokens:
+        tokens = [tok for tok in tokens if tok]
     return tokens
 
 
@@ -164,12 +171,16 @@ def read_corpus(
         raise FileNotFoundError(f"corpus source does not exist: {path}")
 
 
+def _corpus_files(path: Path) -> list[Path]:
+    """The documents of a directory corpus, in reading order."""
+    return [file for file in sorted(path.glob("*.txt")) if file.is_file()]
+
+
 def _read_directory(path: Path, cfg: TokenizerConfig) -> Iterator[Document]:
-    for file in sorted(path.glob("*.txt")):
-        if file.is_file():
-            with open_utf8(file) as fh:
-                text = fh.read()
-            yield Document(file.stem, tokenize(text, cfg))
+    for file in _corpus_files(path):
+        with open_utf8(file) as fh:
+            text = fh.read()
+        yield Document(file.stem, tokenize(text, cfg))
 
 
 def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[Document]:
@@ -201,6 +212,162 @@ def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[D
 
 def _stream_doc(index: int, lines: list[str], cfg: TokenizerConfig) -> Document:
     return Document(f"doc{index:06d}", tokenize("\n".join(lines), cfg))
+
+
+class ShardFault(Exception):
+    """A corpus shard holds what only :func:`read_corpus` reads or reports
+    exactly: bytes that are not UTF-8 (reported with their line number), a
+    line that starts with the separator but is longer, an unreadable or
+    shrunken file, or a separator that spans lines."""
+
+
+@dataclass(frozen=True)
+class FileShard:
+    """A run of consecutive files of a directory corpus."""
+
+    files: tuple[Path, ...]
+
+    def token_lists(self, config: TokenizerConfig) -> Iterator[list[str]]:
+        """The tokens of each document, in corpus order; raises ShardFault."""
+        for file in self.files:
+            try:
+                text = file.read_bytes().decode("utf-8")
+            except (OSError, UnicodeDecodeError):
+                raise ShardFault(file) from None
+            yield tokenize(text, config)
+
+
+@dataclass(frozen=True)
+class StreamShard:
+    """The bytes [start, end) of a stream corpus: whole documents.
+
+    ``start`` is 0 or the offset just after a separator line, and ``end``
+    the file size or the start of the next shard, so the documents of a
+    file's shards, in shard order, are the documents of the file.
+    """
+
+    path: Path
+    start: int
+    end: int
+    separator: str
+
+    def token_lists(self, config: TokenizerConfig) -> Iterator[list[str]]:
+        """The tokens of each document, in corpus order; raises ShardFault.
+
+        Documents are split as :func:`read_corpus` splits them, with
+        ``\\r\\n`` and a lone ``\\r`` read as ``\\n``. The text after the
+        last separator line of a block waits in ``pieces`` for the next one.
+        """
+        if "\n" in self.separator or "\r" in self.separator:
+            raise ShardFault(f"separator {self.separator!r} spans lines")  # no line can equal it
+        marker = "\n" + self.separator
+        pieces: list[str] = []  # the text of the unfinished document
+        for text in self._line_blocks():
+            text = "\n" + text  # every line, the first one too, follows a newline
+            start = 0
+            pos = text.find(marker)
+            while pos >= 0:
+                end = pos + len(marker)
+                if end < len(text) and text[end] != "\n":
+                    raise ShardFault(f"a line starts with {self.separator!r} but is longer")
+                pieces.append(text[start:pos])
+                yield tokenize("".join(pieces), config)
+                pieces = []
+                start = end + 1
+                pos = text.find(marker, end)
+            if start < len(text):
+                pieces.append(text[start:])
+        # The lines after the last separator are a document; none is not.
+        if pieces:
+            yield tokenize("".join(pieces), config)
+
+    def _line_blocks(self) -> Iterator[str]:
+        """The shard's text in blocks of whole lines, each line ended by ``\\n``.
+
+        A block is read up to its last line end; the rest of it starts the
+        next block. Line ends are bytes below 0x80, which no multi-byte
+        UTF-8 sequence contains, so each block decodes on its own.
+        """
+        buf = bytearray()
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.start)
+                left = self.end - self.start
+                while left > 0:
+                    chunk = fh.read(min(_STREAM_BLOCK, left))
+                    if not chunk:
+                        raise ShardFault(f"{self.path} is shorter than when it was cut")
+                    left -= len(chunk)
+                    searched = max(len(buf) - 1, 0)  # a \r there may be part of a \r\n
+                    buf += chunk
+                    if left > 0:
+                        # A \r ends a line once the next byte is known not to be \n.
+                        cut = max(buf.rfind(b"\n", searched), buf.rfind(b"\r", searched, len(buf) - 1)) + 1
+                    else:
+                        cut = len(buf)
+                    if cut:
+                        text = buf[:cut].decode("utf-8")
+                        del buf[:cut]
+                        if "\r" in text:
+                            text = text.replace("\r\n", "\n").replace("\r", "\n")
+                        yield text
+        except (OSError, UnicodeDecodeError):
+            raise ShardFault(self.path) from None
+
+
+def corpus_shards(source, separator: str = DEFAULT_SEPARATOR,
+                  parts: int = 1) -> list[FileShard] | list[StreamShard]:
+    """Cut a corpus into at most ``parts`` shards of whole documents.
+
+    A directory gives :class:`FileShard` runs of its sorted ``*.txt``
+    files, a stream file :class:`StreamShard` byte ranges, each starting
+    just after a separator line with an LF or CRLF end found by scanning
+    forward from ``size * k / parts``. An empty directory gives none.
+    Raises as :func:`read_corpus` does for a missing source or an empty
+    separator.
+    """
+    path = Path(source)
+    if path.is_dir():
+        files = _corpus_files(path)
+        cuts = sorted({len(files) * k // parts for k in range(parts + 1)})
+        return [FileShard(tuple(files[a:b])) for a, b in zip(cuts, cuts[1:])]
+    if not path.is_file():
+        raise FileNotFoundError(f"corpus source does not exist: {path}")
+    if not separator:
+        raise ValidationError("document separator must be non-empty")
+    size = path.stat().st_size
+    cuts = [0]
+    if parts > 1 and "\n" not in separator and "\r" not in separator:
+        sep = separator.encode("utf-8", "surrogatepass")
+        line = re.compile(rb"[\r\n]" + re.escape(sep) + rb"\r?\n")
+        with open(path, "rb") as fh:
+            for k in range(1, parts):
+                after = max(size * k // parts, cuts[-1])
+                cut = _separator_line_end(fh, line, len(sep) + 2, after - 1)
+                if cut is None or cut >= size:
+                    break
+                cuts.append(cut)
+    cuts.append(size)
+    return [StreamShard(path, a, b, separator) for a, b in zip(cuts, cuts[1:])]
+
+
+def _separator_line_end(fh, line: re.Pattern, keep: int, offset: int) -> int | None:
+    """The offset just past the first match of ``line`` at or after
+    ``offset``, or None; ``keep`` is one byte less than its longest match.
+    ``line`` matches a separator line with the line end before it, and
+    offset -1 stands for the file's start, which acts as a line end."""
+    window = b"\n" if offset < 0 else b""
+    fh.seek(max(offset, 0))
+    at = offset  # the file offset of window[0]
+    while chunk := fh.read(_STREAM_BLOCK):
+        window += chunk
+        found = line.search(window)
+        if found:
+            return at + found.end()
+        drop = max(len(window) - keep, 0)
+        at += drop
+        window = window[drop:]
+    return None
 
 
 def parse_frequency_list(source, keep_lemmatized: bool = False) -> Iterator[FrequencyListEntry]:

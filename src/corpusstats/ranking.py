@@ -128,8 +128,8 @@ def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     """Rank a stats table's terms by its tc or df column."""
     if by not in ("tc", "df"):
         raise ValidationError(f"by must be 'tc' or 'df', got {by!r}")
-    tc, df = table.count_arrays()
-    return _rank_sorted_rows(tc if by == "tc" else df, table.terms_at)
+    column = table.count_arrays()[0] if by == "tc" else table.tc_df_arrays()[1]
+    return _rank_sorted_rows(column, table.terms_at)
 
 
 def _rank_sorted_rows(values: np.ndarray, terms_at) -> RankedList:
@@ -198,8 +198,8 @@ def align_ranks(table: TermStatsTable) -> AlignedRanks:
     """
     if len(table) == 0:
         raise ValidationError("empty table: nothing to rank")
+    tc, df = table.tc_df_arrays()
     terms = table.terms()
-    tc, df = table.count_arrays()
     return AlignedRanks(terms, rank_values(tc), rank_values(df))
 
 

@@ -76,7 +76,7 @@ def compute_ratios(table: TermStatsTable) -> np.ndarray:
     """Per-term tc/df as float64, in sorted-term order."""
     if len(table) == 0:
         raise ValidationError("empty table: no ratios to compute")
-    tc, df = table.count_arrays()
+    tc, df = table.tc_df_arrays()
     if (df < 1).any():
         raise ValidationError("df must be >= 1 for every term")
     if (tc < df).any():

@@ -14,12 +14,13 @@ checks.
 from __future__ import annotations
 
 import array
+import functools
+import io
 import itertools
 import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -27,16 +28,19 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .ingest import (
+    DEFAULT_SEPARATOR,
     MAX_COUNT,
     Document,
     FrequencyListEntry,
+    ShardFault,
+    TokenizerConfig,
     check_field,
+    corpus_shards,
     open_utf8,
     parse_frequency_list,
+    read_corpus,
     write_utf8,
 )
-
-_SHARD_SIZE = 256  # documents per worker batch when jobs > 1
 
 _ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
 _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
@@ -187,15 +191,24 @@ class TermStatsTable:
         columns); df is None for a tc-only table."""
         return self._tc, self._df
 
+    def tc_df_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`count_arrays` for a caller that reads the df column; a
+        tc-only table raises ValidationError."""
+        tc, df = self.count_arrays()
+        if df is None:
+            raise ValidationError("a tc-only table has no df column")
+        return tc, df
+
     def as_mapping(self) -> dict[str, tuple[int, int]]:
         """``term -> (tc, df)``, the inverse of :meth:`from_mapping`."""
-        return dict(zip(self.terms(), zip(self._tc.tolist(), self._df.tolist())))
+        tc, df = self.tc_df_arrays()
+        return dict(zip(self.terms(), zip(tc.tolist(), df.tolist())))
 
     def validate(self) -> None:
         """Check the table invariants; raises ValidationError on the first hole."""
         if self.doc_count < 0:
             raise ValidationError(f"doc_count must be >= 0, got {self.doc_count}")
-        tc, df = self._tc, self._df
+        tc, df = self.tc_df_arrays()
         bad = np.flatnonzero((df < 1) | (df > tc) | (df > self.doc_count))
         if bad.size:
             i = int(bad[0])
@@ -217,32 +230,70 @@ def _pack_terms(terms: list[str]) -> bytes:
         raise ValidationError("a term is not valid Unicode (lone surrogate)") from None
 
 
-def compute_tc_df(documents: Iterable[Document], jobs: int | None = None) -> TermStatsTable:
+def compute_tc_df(documents: Iterable[Document]) -> TermStatsTable:
     """Aggregate tc and df for every term across ``documents``.
 
     A term occurring k times in one document adds k to its tc and exactly 1
-    to its df. Duplicate or empty document ids are refused. With jobs > 1
-    the stream is cut into shards that are tallied concurrently and folded
-    into one tally; results are identical to the single pass because
-    addition is commutative.
+    to its df. Duplicate or empty document ids are refused.
     """
-    checked = _checked_ids(documents)
-    if jobs is None or jobs <= 1:
-        tc, df, n_docs = _tally(checked)
+    return _tally(doc.tokens for doc in _checked_ids(documents))
+
+
+def count_corpus(source, config: TokenizerConfig | None = None,
+                 separator: str = DEFAULT_SEPARATOR, jobs: int = 1) -> TermStatsTable:
+    """The tc/df table of the corpus :func:`ingest.read_corpus` reads from ``source``.
+
+    The corpus is cut into at most ``jobs`` shards of whole documents
+    (:func:`ingest.corpus_shards`), and no more than there are usable
+    CPUs. :func:`_count_shard` reads, tokenizes and tallies each one: in
+    this process if there is one, else in a pool of one forked worker
+    process per shard. The shard tables are added up in shard order. If
+    a shard meets input that only the serial reader can report (see
+    :class:`ingest.ShardFault`), the corpus is read again by
+    :func:`compute_tc_df` over :func:`ingest.read_corpus`, which raises
+    its error, so every ``jobs`` value gives the same table or the same
+    error.
+    """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    cfg = config or TokenizerConfig()
+    shards = corpus_shards(source, separator, min(jobs, _usable_cpus()))
+    count = functools.partial(_count_shard, config=cfg)
+    if len(shards) <= 1:
+        tables = list(map(count, shards))
     else:
-        tc, df, n_docs = Counter(), Counter(), 0
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending = []  # at most jobs * 2 shards in flight, never the whole corpus
-            for shard in _shards(checked, _SHARD_SIZE):
-                pending.append(pool.submit(_tally, shard))
-                if len(pending) >= jobs * 2:
-                    n_docs += _fold(tc, df, pending.pop(0).result())
-            for fut in pending:
-                n_docs += _fold(tc, df, fut.result())
-    terms = sorted(tc)
-    return TermStatsTable._from_sorted(
-        terms, map(tc.__getitem__, terms), map(df.__getitem__, terms), n_docs
-    )
+        import multiprocessing  # here, not at the top: it would slow every CLI start
+
+        # fork, not spawn: a spawned worker imports numpy and this package
+        # again, which costs more than a shard of the benchmark corpus takes.
+        # The workers only read, tokenize and count: they call no BLAS
+        # routine, whose idle threads are the only ones a fork can meet here.
+        with multiprocessing.get_context("fork").Pool(len(shards)) as pool:
+            tables = []
+            for table in pool.imap(count, shards):
+                tables.append(table)
+                if table is None:
+                    break
+    if tables and tables[-1] is None:
+        return compute_tc_df(read_corpus(source, cfg, separator))
+    return tables[0] if len(tables) == 1 else _add_tables(tables)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_shard(shard, config: TokenizerConfig) -> TermStatsTable | None:
+    """The tc/df table of one shard; None if it meets a ShardFault."""
+    try:
+        return _tally(shard.token_lists(config))
+    except ShardFault:
+        return None
 
 
 def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:
@@ -256,30 +307,19 @@ def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:
         yield doc
 
 
-def _shards(documents: Iterator[Document], size: int) -> Iterator[list[Document]]:
-    while True:
-        shard = list(itertools.islice(documents, size))
-        if not shard:
-            return
-        yield shard
-
-
-def _tally(documents: Iterable[Document]) -> tuple[Counter, Counter, int]:
+def _tally(token_lists: Iterable[list[str]]) -> TermStatsTable:
+    """The tc/df table of documents given as their token lists."""
     tc: Counter = Counter()
     df: Counter = Counter()
     n_docs = 0
-    for doc in documents:
+    for tokens in token_lists:
         n_docs += 1
-        tc.update(doc.tokens)
-        df.update(set(doc.tokens))
-    return tc, df, n_docs
-
-
-def _fold(tc: Counter, df: Counter, shard: tuple[Counter, Counter, int]) -> int:
-    """Add one shard's tally to ``tc`` and ``df``; returns its document count."""
-    tc.update(shard[0])
-    df.update(shard[1])
-    return shard[2]
+        tc.update(tokens)
+        df.update(set(tokens))
+    terms = sorted(tc)
+    return TermStatsTable._from_sorted(
+        terms, map(tc.__getitem__, terms), map(df.__getitem__, terms), n_docs
+    )
 
 
 def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
@@ -287,15 +327,33 @@ def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
 
     Commutative and associative. A sum above 2**63 - 1 raises ValidationError.
     """
-    terms, where = np.unique(np.array(a.terms() + b.terms(), dtype=object), return_inverse=True)
-    columns = []
-    for col_a, col_b in zip(a.count_arrays(), b.count_arrays()):
-        total = np.zeros(len(terms), dtype=np.uint64)  # holds any sum of two int64 counts
-        np.add.at(total, where, np.concatenate([col_a, col_b]).astype(np.uint64))
-        if total.size and int(total.max()) > MAX_COUNT:
-            raise ValidationError("a merged count exceeds 2**63 - 1")
-        columns.append(total.astype(np.int64))
-    return TermStatsTable(_pack_terms(terms.tolist()), *columns, a.doc_count + b.doc_count)
+    return _add_tables([a, b])
+
+
+def _add_tables(tables: list[TermStatsTable]) -> TermStatsTable:
+    """The sum of tables counted over disjoint documents, as :func:`merge` adds two."""
+    counts = [table.tc_df_arrays() for table in tables]
+    # The terms as UTF-8 bytes, which sort as the str terms do, take half
+    # the memory of decoded ones and compare faster.
+    keys = np.array([key for table in tables for key in table._terms.split(b"\n")[:-1]], dtype=object)
+    # Each table's keys are one ascending run, and a stable sort (timsort) merges runs.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)  # the first copy of each term
+    first[1:] = keys[1:] != keys[:-1]
+    packed = io.BytesIO()  # bytes.join would hold an 80-byte buffer record per term
+    packed.writelines(itertools.chain.from_iterable(zip(keys[first], itertools.repeat(b"\n"))))
+    del keys  # one object per input row: not kept while the counts are added
+    where = np.empty(len(order), dtype=np.intp)  # each input row's merged row
+    where[order] = np.cumsum(first) - 1
+    totals = [np.zeros(int(first.sum()), dtype=np.uint64) for _ in range(2)]
+    for rows, columns in zip(np.split(where, np.cumsum([len(table) for table in tables])[:-1]), counts):
+        for total, column in zip(totals, columns):
+            total[rows] += column.astype(np.uint64)  # below 2**64: both addends are below 2**63
+            if int(total.max(initial=0)) > MAX_COUNT:
+                raise ValidationError("a merged count exceeds 2**63 - 1")
+    return TermStatsTable(packed.getvalue(), *(total.astype(np.int64) for total in totals),
+                          sum(table.doc_count for table in tables))
 
 
 def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
@@ -337,11 +395,11 @@ def iter_rows(*columns) -> Iterator[tuple]:
 
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
+    tc, df = table.tc_df_arrays()
     terms = table.terms()
     if b"\t" in table._terms or b"\r" in table._terms:
         for term in terms:
             check_field(term)
-    tc, df = table.count_arrays()
     with write_utf8(path) as fh:
         fh.write(f"#N={table.doc_count}\n")
         fh.writelines(f"{term}\t{tc_i}\t{df_i}\n" for term, tc_i, df_i in iter_rows(terms, tc, df))

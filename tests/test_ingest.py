@@ -1,12 +1,15 @@
 """Tokenizer, corpus readers, and frequency-list parsers."""
 
 import os
+import pickle
 import stat
 import sys
 import threading
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusstats import (
     Document,
@@ -82,6 +85,57 @@ class TestTokenize:
                     if tok:
                         expected.append(tok)
                 assert tokenize(text, config) == expected, repr(text)
+
+    def test_lowering_the_whole_text_lowers_each_token_alike(self):
+        # tokenize lowers the text before it splits and strips. That gives
+        # the tokens of stripping, then lowering, each token only while:
+        # whitespace and punctuation are neither cased nor changed by
+        # lower(), whitespace is not case-ignorable (it ends a final
+        # sigma's context), no other character lowers to whitespace, and
+        # none lowers to a string with punctuation at an edge.
+        def not_cased(c):  # a cased character before a sigma makes it final
+            return (c + "Σ").lower().endswith("σ")
+
+        for c in map(chr, ALL_CODE_POINTS):
+            low = c.lower()
+            if c.isspace():
+                assert low == c and not_cased(c), hex(ord(c))
+                # a case-ignorable one would let the sigma see past it
+                assert ("A" + c + "Σ").lower().endswith("σ"), hex(ord(c))
+                assert ("AΣ" + c + "A").lower() == "aς" + c + "a", hex(ord(c))
+            elif unicodedata.category(c)[0] == "P":
+                assert low == c and not_cased(c), hex(ord(c))
+            elif low != c:
+                assert not any(ch.isspace() for ch in low), hex(ord(c))
+                assert unicodedata.category(low[0])[0] != "P", hex(ord(c))
+                assert unicodedata.category(low[-1])[0] != "P", hex(ord(c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(st.sampled_from([
+        "Σ", "ΑΣ", "σ", "İ", "I", "_", "a", "Word", "ß", "Ǆ", "9", "'", ".", ",", "(", ")", "«", "»",
+        "—", "-", "“", "\u0307", "\u00ad", " ", "\n", "\r", "\t", "\u00a0", "\u2028", "\x1c",
+    ]), max_size=20).map("".join), config=st.sampled_from([
+        TokenizerConfig(), TokenizerConfig(lowercase=False),
+        TokenizerConfig(strip_edge_punctuation=False), TokenizerConfig(False, False),
+    ]))
+    def test_matches_a_per_token_reference(self, text, config):
+        expected = []
+        for raw in text.split():
+            tok = _strip_edges(raw) if config.strip_edge_punctuation else raw
+            if config.lowercase:
+                tok = tok.lower()
+            if tok:
+                expected.append(tok)
+        assert tokenize(text, config) == expected
+
+
+class TestParseErrorPickling:
+    def test_round_trip_keeps_message_path_and_line(self):
+        err = ParseError("corpus/a.txt", 3, "not valid UTF-8")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ParseError
+        assert (str(back), back.path, back.line_no) == (str(err), "corpus/a.txt", 3)
+        assert str(back) == "corpus/a.txt:3: not valid UTF-8"
 
 
 class TestReadCorpusDirectory:

@@ -14,9 +14,15 @@ from corpusstats import (
     merge,
     read_stats,
     read_stats_columns,
+    Rounding,
+    align_ranks,
+    ranked_by,
+    ratio_histogram,
     write_frequency_list,
     write_stats,
 )
+from corpusstats import stats
+from corpusstats.stats import count_corpus
 from conftest import SONG_TC_DF
 
 
@@ -65,21 +71,27 @@ class TestComputeTcDf:
         with pytest.raises(ValidationError):
             compute_tc_df([Document("", ["x"])])
 
-    def test_jobs_parameter_changes_nothing(self, song_docs):
+    # count_corpus(..., jobs=N) replaced compute_tc_df(..., jobs=N); these
+    # two keep their assertions against it (more in test_count.py).
+    def test_jobs_parameter_changes_nothing(self, song_docs, song_corpus_dir, monkeypatch):
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 4)
         sequential = compute_tc_df(song_docs)
-        threaded = compute_tc_df(song_docs, jobs=4)
-        assert threaded.as_mapping() == sequential.as_mapping()
-        assert threaded.doc_count == sequential.doc_count
+        sharded = count_corpus(song_corpus_dir, jobs=4)
+        assert sharded.as_mapping() == sequential.as_mapping()
+        assert sharded.doc_count == sequential.doc_count
 
-    def test_jobs_on_larger_random_corpus(self):
+    def test_jobs_on_larger_random_corpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 3)
         rng = np.random.default_rng(7)
         docs = []
         for d in range(700):  # enough documents to span several shards
             size = int(rng.integers(0, 25))
             tokens = [f"w{int(i)}" for i in rng.integers(0, 80, size)]
             docs.append(Document(f"d{d}", tokens))
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n%%DOC%%\n".join(" ".join(d.tokens) for d in docs) + "\n", encoding="utf-8")
         a = compute_tc_df(iter(docs))
-        b = compute_tc_df(iter(docs), jobs=3)
+        b = count_corpus(path, jobs=3)
         assert a.as_mapping() == b.as_mapping() and a.doc_count == b.doc_count
 
 
@@ -132,6 +144,32 @@ class TestTableBasics:
             TermStatsTable.from_mapping({"x": (3, 0)}, 5).validate()  # df < 1
         with pytest.raises(ValidationError):
             TermStatsTable.from_mapping({"x": (3, 2)}, 1).validate()  # df > doc_count
+
+
+class TestTcOnlyTable:
+    """A frequency list's table has no df column: every reader of it refuses."""
+
+    @pytest.fixture
+    def tc_only(self):
+        return TermStatsTable.from_entries([FrequencyListEntry("a", 5), FrequencyListEntry("b", 2)])
+
+    @pytest.mark.parametrize("use", [
+        pytest.param(lambda t, tmp: write_stats(t, tmp / "t.stats"), id="write_stats"),
+        pytest.param(lambda t, tmp: merge(t, t), id="merge"),
+        pytest.param(lambda t, tmp: ranked_by(t, "df"), id="ranked_by_df"),
+        pytest.param(lambda t, tmp: align_ranks(t), id="align_ranks"),
+        pytest.param(lambda t, tmp: ratio_histogram(t, Rounding.INTEGER), id="ratio_histogram"),
+        pytest.param(lambda t, tmp: t.as_mapping(), id="as_mapping"),
+        pytest.param(lambda t, tmp: t.validate(), id="validate"),
+    ])
+    def test_df_readers_raise_validation_error(self, tc_only, use, tmp_path):
+        with pytest.raises(ValidationError, match="tc-only table has no df column"):
+            use(tc_only, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tc_readers_still_work(self, tc_only):
+        assert list(ranked_by(tc_only, "tc")) == [("a", 5, 1), ("b", 2, 2)]
+        assert tc_only.count_arrays()[1] is None
 
 
 class TestFrequencyOfFrequencies:
