@@ -2,10 +2,10 @@
 
 Two independent Kendall kernels are provided on purpose. The blocked
 quadratic kernel (:func:`kendall_tau_naive`) counts every pair literally
-and serves as the ground truth; the merge-sort kernel
-(:func:`kendall_tau_fast`) reproduces the same five pair counts in
-O(n log n) style time and is the one to use beyond a few thousand pairs.
-They must never be collapsed into one: each checks the other.
+and serves as the ground truth; the fast kernel (:func:`kendall_tau_fast`)
+reproduces the same five pair counts from a tie histogram or a merge sort
+in O(n log n) style time and is the one to use beyond a few thousand
+pairs. They must never be collapsed into one: each checks the other.
 
 Pair vocabulary used throughout, for a sample of n points:
 
@@ -38,10 +38,19 @@ from .ranking import _as_vector, _runs
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
 
+#: A t tail whose log bound lies below this is under the floor by a factor
+#: of e^8, far beyond the error of the bound or of scipy's stdtr, so the
+#: p-value is the floor without computing the tail.
+_LOG_CERTAINLY_FLOORED = math.log(P_VALUE_FLOOR) - 8.0
+
 #: Largest n for which the exact permutation null of rho is enumerated.
 EXACT_P_MAX_N = 10
 
 _NAIVE_BLOCK = 512
+
+#: kendall_tau_fast counts from the (x, y) histogram while it has at most
+#: this many cells per pair, and merges otherwise.
+_HISTOGRAM_CELLS_PER_PAIR = 4
 
 
 def _as_pair_vectors(x, y, min_n: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -169,27 +178,76 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
 
 
 def kendall_tau_fast(x, y) -> KendallCounts:
-    """Merge-sort pair counting, near O(n log n); handles tens of millions.
+    """Pair counting from dense codes, near O(n log n); handles tens of millions.
 
-    Codes x and y densely (their tie counts come with the codes), sorts
-    once on the combined key x_code * n_y + y_code, takes the pairs tied
-    in both from the runs of that sorted key, and counts discordant pairs
-    as strict inversions of y_code in that order (Knight 1966). Produces
-    exactly the same KendallCounts as :func:`kendall_tau_naive`.
+    Codes x and y densely (their tie counts come with the codes). When the
+    (x code, y code) histogram has at most 4 cells per pair, as on heavily
+    tied rank data, the discordant pairs and the pairs tied in both come
+    from that histogram; otherwise from one sort on the combined key
+    x_code * n_y + y_code, counting discordant pairs as strict inversions
+    of y_code in that order (Knight 1966). Produces exactly the same
+    KendallCounts as :func:`kendall_tau_naive`.
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
-    _, x_code, x_lengths = np.unique(xv, return_inverse=True, return_counts=True)
-    _, y_code, y_lengths = np.unique(yv, return_inverse=True, return_counts=True)
-    key = x_code * y_lengths.size + y_code
-    order = np.argsort(key)
-    _, xy_lengths = _runs(key[order])
+    x_code, x_lengths = _dense_codes(xv)
+    y_code, y_lengths = _dense_codes(yv)
+    n_x, n_y = x_lengths.size, y_lengths.size
+    if n_x * n_y <= _HISTOGRAM_CELLS_PER_PAIR * n:
+        disc, tie_xy = _histogram_counts(x_code, y_code, n_x, n_y)
+    else:
+        disc, tie_xy = _merge_counts(x_code, y_code, n_y)
     tie_x = _tied_pairs(x_lengths)
     tie_y = _tied_pairs(y_lengths)
-    tie_xy = _tied_pairs(xy_lengths)
-    disc = _count_strict_inversions(y_code[order])
     conc = n * (n - 1) // 2 - tie_x - tie_y + tie_xy - disc
     return _counts_to_taus(n, conc, disc, tie_x - tie_xy, tie_y - tie_xy, tie_xy)
+
+
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The code 0..k-1 of each value's rank among the k distinct values, and
+    how often each distinct value occurs, in ascending value order.
+
+    Integers in [0, n], such as ranks, are coded from their counts with no
+    sort.
+    """
+    n = values.size
+    if values.dtype.kind == "i" and n and values.min() >= 0 and values.max() <= n:
+        counts = np.bincount(values)
+        present = counts > 0
+        code_of = np.cumsum(present)
+        code_of -= 1
+        return code_of[values], counts[present]
+    _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return codes, counts
+
+
+def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
+                      n_y: int) -> tuple[int, int]:
+    """Discordant pairs and pairs tied in both, from the n_x * n_y histogram
+    of the (x code, y code) pairs.
+
+    A cell's points are discordant with every point of an earlier x group
+    that has a higher y code. Walks the groups of the shorter side, which
+    is safe because both counts are symmetric in x and y.
+    """
+    if n_x > n_y:
+        x_code, y_code, n_x, n_y = y_code, x_code, n_y, n_x
+    hist = np.bincount(x_code * n_y + y_code, minlength=n_x * n_y).reshape(n_x, n_y)
+    tie_xy = (int(np.vdot(hist, hist)) - x_code.size) // 2  # the sum of h*(h-1)/2 over cells
+    disc = 0
+    at_most = np.zeros(n_y, dtype=np.int64)  # points of earlier groups with y code <= b
+    for row in hist:
+        disc += int(np.dot(row, at_most[-1] - at_most))
+        at_most += np.cumsum(row)
+    return disc, tie_xy
+
+
+def _merge_counts(x_code: np.ndarray, y_code: np.ndarray, n_y: int) -> tuple[int, int]:
+    """Discordant pairs and pairs tied in both, from one sort on the combined key."""
+    key = x_code * n_y + y_code
+    order = np.argsort(key)
+    _, xy_lengths = _runs(key[order])
+    return _count_strict_inversions(y_code[order]), _tied_pairs(xy_lengths)
 
 
 def _tied_pairs(run_lengths: np.ndarray) -> int:
@@ -302,7 +360,8 @@ def rho_significance(rho: float, n: int, method: str = "auto", ranks=None) -> fl
     uses the t statistic rho*sqrt((n-2)/(1-rho^2)) against Student's t
     with n-2 degrees of freedom, and ignores ``ranks``. method="auto"
     picks exact when n <= 10. The returned value is floored at 2.2e-16
-    because tinier tail claims are numerically meaningless here.
+    because tinier tail claims are numerically meaningless here; a t tail
+    whose upper bound is already far below that floor is not computed.
     """
     if isinstance(rho, bool) or not isinstance(rho, (int, float, np.floating, np.integer)):
         raise ValidationError(f"rho must be a number, got {type(rho).__name__}")
@@ -332,18 +391,30 @@ def rho_significance(rho: float, n: int, method: str = "auto", ranks=None) -> fl
         if n < 4:
             raise DegenerateInputError(f"t approximation needs n >= 4, got {n}")
         denom = 1.0 - r * r
-        if denom <= 0.0:
+        t = abs(r) * math.sqrt((n - 2) / denom) if denom > 0.0 else math.inf
+        if t == math.inf or (t > 0.0 and _log_t_tail_bound(t, n - 2) < _LOG_CERTAINLY_FLOORED):
             p = 0.0
         else:
-            # The one use of scipy, imported here so that no other call pays
-            # for loading it. scipy.stats.t.sf(|t|, df) is stdtr(df, -|t|).
+            # The one use of scipy, imported here so that no call whose
+            # p-value is certainly at the floor, and no other subcommand,
+            # pays for loading it. scipy.stats.t.sf(t, df) is stdtr(df, -t).
             from scipy.special import stdtr
 
-            t = r * math.sqrt((n - 2) / denom)
-            p = 2.0 * float(stdtr(n - 2, -abs(t)))
+            p = 2.0 * float(stdtr(n - 2, -t))
     else:
         raise ValidationError(f"method must be 'auto', 'exact', or 'approx', got {method!r}")
     return max(min(p, 1.0), P_VALUE_FLOOR)
+
+
+def _log_t_tail_bound(t: float, df: int) -> float:
+    """An upper bound on log P(|T| >= t) for Student's t with df > 1 and t > 0.
+
+    The tail integral of the density f is at most that of (s/t) f(s), which
+    has the closed form c * df / ((df - 1) * t) * (1 + t^2/df)^(-(df-1)/2);
+    the density's constant c is below the normal's 1/sqrt(2 pi).
+    """
+    return (math.log(2.0 / math.sqrt(2.0 * math.pi)) + math.log(df / (df - 1))
+            - math.log(t) - (df - 1) / 2 * math.log1p(t * t / df))
 
 
 @dataclass(frozen=True)

@@ -8,34 +8,48 @@ mid-ranks and Kendall's tie counts all come from :func:`_runs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import write_utf8
-from .stats import TermStatsTable, iter_rows
+from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable, iter_rows
 
 
-@dataclass
 class RankedList:
     """Terms with their values and competition ranks, stored columnar.
 
     Presentation order is value descending with ties broken by term
     ascending; the rank numbers carry all semantics, the tie-break only
-    stabilizes output. Iterating yields (term, value, rank) tuples.
+    stabilizes output. The terms stay in their source and are decoded
+    only when read: :attr:`terms` decodes all of them, and iterating
+    yields (term, value, rank) tuples, decoding one chunk of rows at a time.
     """
 
-    terms: list[str]
-    values: np.ndarray
-    ranks: np.ndarray
+    def __init__(self, terms_at: Callable[[np.ndarray], list[str]], rows: np.ndarray,
+                 values: np.ndarray, ranks: np.ndarray):
+        self._terms_at = terms_at  # the terms of source rows, in the order given
+        self._rows = rows  # the source row of each position
+        self.values = values
+        self.ranks = ranks
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self._rows.size
 
-    def __iter__(self):
-        return iter_rows(self.terms, self.values, self.ranks)
+    @property
+    def terms(self) -> list[str]:
+        return self.terms_at(slice(None))
+
+    def terms_at(self, positions) -> list[str]:
+        """The terms at the presentation ``positions`` (indices or a slice), in order."""
+        return self._terms_at(self._rows[positions])
+
+    def __iter__(self) -> Iterator[tuple[str, int, int]]:
+        for lo in range(0, len(self), _ROWS_PER_CHUNK):
+            chunk = slice(lo, lo + _ROWS_PER_CHUNK)
+            yield from zip(self.terms_at(chunk), self.values[chunk].tolist(),
+                           self.ranks[chunk].tolist())
 
 
 class OverlapCounts(NamedTuple):
@@ -139,11 +153,11 @@ def _rank_sorted_rows(values: np.ndarray, terms_at) -> RankedList:
     stable sort on -value keeps tied terms in ascending term order.
     """
     order = np.argsort(-values, kind="stable")
-    terms = terms_at(order)
+    if order.size <= _INT32_MAX:
+        order = order.astype(np.int32)  # the list keeps these rows: half the bytes
     ordered = values[order]
-    del order  # freed before the ranks take as much memory again
     starts, lengths = _runs(ordered)
-    return RankedList(terms, ordered, np.repeat(starts + 1, lengths))
+    return RankedList(terms_at, order, ordered, np.repeat(starts + 1, lengths))
 
 
 def ranking_overlap(
@@ -170,23 +184,28 @@ def ranking_overlap(
 
 def _window_terms(ranked: RankedList, lo: int, hi: int) -> set[str]:
     inside = (ranked.ranks >= lo) & (ranked.ranks <= hi)
-    return {ranked.terms[i] for i in np.flatnonzero(inside)}
+    return set(ranked.terms_at(np.flatnonzero(inside)))
 
 
-@dataclass
 class AlignedRanks:
     """Per-term tc-rank and df-rank for one table, positionally aligned.
 
     Terms are in sorted order; tc_ranks[i] and df_ranks[i] belong to
     terms[i]. This is the paired input that rank correlation consumes.
+    :attr:`terms` decodes the table's terms on each access.
     """
 
-    terms: list[str]
-    tc_ranks: np.ndarray
-    df_ranks: np.ndarray
+    def __init__(self, table: TermStatsTable, tc_ranks: np.ndarray, df_ranks: np.ndarray):
+        self._table = table
+        self.tc_ranks = tc_ranks
+        self.df_ranks = df_ranks
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.tc_ranks.size
+
+    @property
+    def terms(self) -> list[str]:
+        return self._table.terms()
 
 
 def align_ranks(table: TermStatsTable) -> AlignedRanks:
@@ -199,8 +218,7 @@ def align_ranks(table: TermStatsTable) -> AlignedRanks:
     if len(table) == 0:
         raise ValidationError("empty table: nothing to rank")
     tc, df = table.tc_df_arrays()
-    terms = table.terms()
-    return AlignedRanks(terms, rank_values(tc), rank_values(df))
+    return AlignedRanks(table, rank_values(tc), rank_values(df))
 
 
 def write_ranked_list(ranked: RankedList, path) -> None:

@@ -162,9 +162,15 @@ class TermStatsTable:
 
     def terms(self) -> list[str]:
         """All stored terms in sorted order, decoded into a new list on every call."""
-        terms = self._terms.decode("utf-8").split("\n")
-        terms.pop()  # the empty string after the last term's newline
-        return terms
+        return self.terms_between(0, len(self))
+
+    def terms_between(self, lo: int, hi: int) -> list[str]:
+        """The terms of rows ``lo`` to ``hi - 1``, decoded from one slice of the buffer."""
+        hi = min(hi, len(self))
+        if lo >= hi:
+            return []
+        start = int(self._ends[lo - 1]) + 1 if lo else 0
+        return str(memoryview(self._terms)[start:int(self._ends[hi - 1])], "utf-8").split("\n")
 
     def terms_at(self, rows: np.ndarray) -> list[str]:
         """The terms of the row indices ``rows``, in that order.
@@ -396,13 +402,15 @@ def iter_rows(*columns) -> Iterator[tuple]:
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
     tc, df = table.tc_df_arrays()
-    terms = table.terms()
     if b"\t" in table._terms or b"\r" in table._terms:
-        for term in terms:
+        for term in table.terms():
             check_field(term)
     with write_utf8(path) as fh:
         fh.write(f"#N={table.doc_count}\n")
-        fh.writelines(f"{term}\t{tc_i}\t{df_i}\n" for term, tc_i, df_i in iter_rows(terms, tc, df))
+        for lo in range(0, len(table), _ROWS_PER_CHUNK):
+            hi = lo + _ROWS_PER_CHUNK
+            rows = zip(table.terms_between(lo, hi), tc[lo:hi].tolist(), df[lo:hi].tolist())
+            fh.writelines(f"{term}\t{tc_i}\t{df_i}\n" for term, tc_i, df_i in rows)
 
 
 def read_stats(path) -> TermStatsTable:

@@ -631,3 +631,18 @@ class TestStartUp:
         assert code == 0
         assert "scipy.special" in loaded
         assert [m for m in loaded if m.startswith("scipy.stats")] == []
+
+    def test_correlate_at_the_p_value_floor_loads_no_scipy(self, tmp_path):
+        # 200 terms whose df falls with tc in groups of five: rho is just
+        # below 1, and the t tail is far below the 2.2e-16 floor
+        stats_path = tmp_path / "t.stats"
+        stats_path.write_text("#N=1000\n" + "".join(
+            f"t{i:03d}\t{1000 - i}\t{(1000 - i) // 5}\n" for i in range(200)
+        ))
+        out = tmp_path / "r.tsv"
+        code, loaded = run_fresh(["correlate", "--stats", stats_path, "--out", out])
+        assert code == 0
+        assert loaded == []
+        report = dict(line.split("\t") for line in out.read_text().splitlines())
+        assert 0.99 < float(report["spearman_rho"]) < 1.0
+        assert report["p_value_rho"] == "2.2e-16"

@@ -23,6 +23,7 @@ from corpusstats import (
     spearman_rho_shortcut,
     tau_to_rho,
 )
+from corpusstats import correlation
 from corpusstats.correlation import write_curve
 from conftest import SONG_ALIGNED_RANKS
 
@@ -207,6 +208,50 @@ class TestKendallKernels:
             want = sps.kendalltau(xs, ys).statistic
             assert abs(got - want) <= 1e-12
 
+    # (n, n_x, n_y) with n_x * n_y just below, at and just above 4n
+    @pytest.mark.parametrize("n, n_x, n_y", [(86, 7, 49), (86, 8, 43), (86, 15, 23),
+                                             (86, 49, 7), (86, 23, 15)])
+    def test_histogram_and_merge_counters_agree(self, n, n_x, n_y, monkeypatch):
+        histogram = []
+        counter = correlation._histogram_counts
+        monkeypatch.setattr(correlation, "_histogram_counts",
+                            lambda *args: histogram.append(args) or counter(*args))
+        rng = np.random.default_rng(n_x * n_y)
+        for _ in range(20):
+            # every code occurs at least once, so the codes are dense
+            x_code = rng.permutation(np.append(np.arange(n_x), rng.integers(0, n_x, n - n_x)))
+            y_code = rng.permutation(np.append(np.arange(n_y), rng.integers(0, n_y, n - n_y)))
+            assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (
+                correlation._merge_counts(x_code, y_code, n_y)
+            )
+            # competition ranks take the counting-sort coding, mid-ranks np.unique's
+            for x, y in ((rank_values(x_code), rank_values(y_code)),
+                         (fractional_rank(x_code), fractional_rank(y_code))):
+                for values, want in ((x, -x_code), (y, -y_code)):
+                    codes, lengths = correlation._dense_codes(values)
+                    _, want_codes, want_lengths = np.unique(want, return_inverse=True,
+                                                            return_counts=True)
+                    assert np.array_equal(codes, want_codes)
+                    assert np.array_equal(lengths, want_lengths)
+                histogram.clear()
+                assert kendall_tau_fast(x, y) == kendall_tau_naive(x, y)
+                assert len(histogram) == (n_x * n_y <= 4 * n)
+
+    def test_counters_on_empty_and_one_group_codes(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert correlation._histogram_counts(empty, empty, 0, 0) == (0, 0)
+        assert correlation._merge_counts(empty, empty, 0) == (0, 0)
+        one_group = np.zeros(5, dtype=np.int64)
+        spread = np.array([3, 0, 4, 1, 2])
+        for x_code, y_code, n_x, n_y in ((one_group, one_group, 1, 1), (one_group, spread, 1, 5),
+                                         (spread, one_group, 5, 1)):
+            tied_both = 10 if n_x == n_y else 0  # all 5 * 4 / 2 pairs, or none
+            assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (0, tied_both)
+            assert correlation._merge_counts(x_code, y_code, n_y) == (0, tied_both)
+        up = np.arange(5)
+        assert correlation._histogram_counts(up, up[::-1], 5, 5) == (10, 0)
+        assert correlation._merge_counts(up, up[::-1], 5) == (10, 0)
+
     def test_naive_block_size_is_irrelevant(self):
         rng = np.random.default_rng(13)
         x, y = random_tied_pairs(rng, max_n=120)
@@ -365,6 +410,24 @@ class TestRhoSignificance:
         for r in grid.tolist():
             t = r * math.sqrt((n - 2) / (1 - r * r))
             want = max(min(2 * float(sps.t.sf(abs(t), n - 2)), 1.0), 2.2e-16)
+            assert rho_significance(r, n, method="approx") == want, (r, n)
+
+    @pytest.mark.parametrize("n", [11, 12, 30, 1_000, 82_134, 400_000, 11_300_000])
+    def test_floor_shortcut_is_the_t_tail_bit_for_bit(self, n):
+        # a dense grid of t from p = 1e-13, through the floor, to where the
+        # tail bound lets the p-value skip scipy, and past that
+        from scipy.special import stdtr
+
+        df = n - 2
+        t_bounded = float(next(t for t in np.geomspace(1.0, 1e12, 20_000)
+                               if correlation._log_t_tail_bound(t, df)
+                               < correlation._LOG_CERTAINLY_FLOORED))
+        t_low = float(next(t for t in np.geomspace(1.0, 1e12, 20_000) if 2 * stdtr(df, -t) < 1e-13))
+        t_grid = np.geomspace(t_low, 4 * t_bounded, 2_000)
+        rhos = np.append(t_grid / np.sqrt(df + t_grid * t_grid), np.nextafter(1.0, 0.0))
+        for r in (*rhos.tolist(), *(-rhos).tolist()):
+            t = r * math.sqrt(df / (1 - r * r))
+            want = max(min(2.0 * float(stdtr(df, -abs(t))), 1.0), correlation.P_VALUE_FLOOR)
             assert rho_significance(r, n, method="approx") == want, (r, n)
 
     def test_exact_and_approx_stay_close_at_the_boundary(self):
