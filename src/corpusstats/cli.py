@@ -30,6 +30,7 @@ from .ingest import (
     Document,
     TokenizerConfig,
     open_utf8,
+    outputs_together,
     parse_frequency_list,
     parse_ngram_counts,
     read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
@@ -444,7 +445,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.handler(args)
+        with outputs_together():  # a failed run changes no output file
+            args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

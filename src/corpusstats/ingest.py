@@ -13,6 +13,7 @@ import re
 import stat
 import unicodedata
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -101,9 +102,11 @@ def write_utf8(path) -> Iterator[TextIO]:
     """Open ``path`` for writing UTF-8 text with LF line ends, all or nothing.
 
     The text goes to a temporary file in the same directory, which replaces
-    ``path`` only when the ``with`` block ends without an exception. On any
+    ``path`` only when the ``with`` block ends without an exception, or,
+    inside :func:`outputs_together`, when that block does. On any
     exception the temporary file is removed, so a failed or interrupted
-    write leaves neither a partial file nor a changed one at ``path``.
+    write leaves neither a partial file nor a changed one at ``path``. An
+    error opening the temporary file names ``path``.
 
     A symlink keeps its link: the file it resolves to is the one replaced.
     A path that exists and is not a regular file (a pipe, a terminal,
@@ -121,12 +124,47 @@ def write_utf8(path) -> Iterator[TextIO]:
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    pending = _pending.get()
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, target)
+        if pending is None:
+            os.replace(tmp, target)
+        elif (tmp, target) not in pending:  # a second write to a target replaces the first
+            pending.append((tmp, target))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# The (temporary file, target) pairs of the innermost outputs_together block.
+_pending: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_pending", default=None)
+
+
+@contextmanager
+def outputs_together() -> Iterator[None]:
+    """Make the files :func:`write_utf8` writes inside the block land together.
+
+    Each stays in its temporary file until the block ends without an
+    exception; then they replace their targets, in the order written. On
+    an exception every temporary file left is removed, so a failed block
+    changes no target.
+    """
+    pending: list[tuple[Path, Path]] = []
+    token = _pending.set(pending)
+    try:
+        yield
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    finally:
+        _pending.reset(token)
+        for tmp, _ in pending:
+            tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -282,37 +320,59 @@ class StreamShard:
             yield tokenize("".join(pieces), config)
 
     def _line_blocks(self) -> Iterator[str]:
-        """The shard's text in blocks of whole lines, each line ended by ``\\n``.
-
-        A block is read up to its last line end; the rest of it starts the
-        next block. Line ends are bytes below 0x80, which no multi-byte
-        UTF-8 sequence contains, so each block decodes on its own.
-        """
-        buf = bytearray()
+        """The shard's text in blocks of whole lines (:func:`line_blocks`)."""
         try:
             with open(self.path, "rb") as fh:
                 fh.seek(self.start)
-                left = self.end - self.start
-                while left > 0:
-                    chunk = fh.read(min(_STREAM_BLOCK, left))
-                    if not chunk:
-                        raise ShardFault(f"{self.path} is shorter than when it was cut")
-                    left -= len(chunk)
-                    searched = max(len(buf) - 1, 0)  # a \r there may be part of a \r\n
-                    buf += chunk
-                    if left > 0:
-                        # A \r ends a line once the next byte is known not to be \n.
-                        cut = max(buf.rfind(b"\n", searched), buf.rfind(b"\r", searched, len(buf) - 1)) + 1
-                    else:
-                        cut = len(buf)
-                    if cut:
-                        text = buf[:cut].decode("utf-8")
-                        del buf[:cut]
-                        if "\r" in text:
-                            text = text.replace("\r\n", "\n").replace("\r", "\n")
-                        yield text
+                for block in line_blocks(fh, _STREAM_BLOCK, self.end - self.start):
+                    yield str(block, "utf-8")
+                if fh.tell() < self.end:
+                    raise ShardFault(f"{self.path} is shorter than when it was cut")
         except (OSError, UnicodeDecodeError):
             raise ShardFault(self.path) from None
+
+
+def line_blocks(fh, size: int, limit: int | None = None) -> Iterator[memoryview | bytes]:
+    """The binary file ``fh`` from where it stands, in blocks of whole lines ended by LF.
+
+    Reads to the end of the file, or ``limit`` bytes. ``\\r\\n`` and a lone
+    ``\\r`` become ``\\n``, and a last line without a line end gets one. The
+    bytes are read into one reused buffer of ``size`` bytes, which a line
+    longer than it doubles, so a block holds only until the next is read.
+    Line ends are bytes below 0x80, which no multi-byte UTF-8 sequence
+    contains, so each block decodes on its own.
+    """
+    buf = bytearray(size)
+    view = memoryview(buf)
+    kept = 0  # bytes of an unfinished line at the front of buf
+    while True:
+        room = len(buf) - kept
+        got = fh.readinto(view[kept:kept + (room if limit is None else min(room, limit))])
+        if not got:
+            if kept:
+                tail = _lf_ends(view[:kept])
+                yield tail if tail.endswith(b"\n") else tail + b"\n"
+            return
+        if limit is not None:
+            limit -= got
+        end = kept + got
+        # A \r ends a line once the next byte is known not to be \n.
+        cut = max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end - 1)) + 1
+        if not cut:
+            if end == len(buf):
+                buf = bytearray(2 * len(buf))
+                buf[:end] = view[:end]
+                view = memoryview(buf)
+            kept = end
+            continue
+        yield _lf_ends(view[:cut]) if buf.find(b"\r", 0, cut) >= 0 else view[:cut]
+        buf[:end - cut] = buf[cut:end]  # a copy: the two ranges may overlap
+        kept = end - cut
+
+
+def _lf_ends(data: memoryview) -> bytes:
+    """``data`` with ``\\r\\n`` and each lone ``\\r`` turned into ``\\n``."""
+    return data.tobytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def corpus_shards(source, separator: str = DEFAULT_SEPARATOR,

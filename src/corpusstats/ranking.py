@@ -94,7 +94,7 @@ def rank_values(values) -> np.ndarray:
     v = _as_vector(values, "values")
     if v.size and (v.dtype.kind == "f" or v.min() < 0):
         raise ValidationError("values must be non-negative integers")
-    order = np.argsort(-v, kind="stable")
+    order = np.argsort(-v)  # tied entries get one rank in any order
     starts, lengths = _runs(v[order])
     ranks = np.empty(v.size, dtype=np.int64)
     ranks[order] = np.repeat(starts + 1, lengths)
@@ -108,7 +108,7 @@ def fractional_rank(values) -> np.ndarray:
     stay competition-style.
     """
     v = _as_vector(values, "values")
-    order = np.argsort(-v, kind="stable")
+    order = np.argsort(-v)  # tied entries get one rank in any order
     starts, lengths = _runs(v[order])
     ranks = np.empty(v.size, dtype=np.float64)
     ranks[order] = np.repeat(starts + (lengths + 1) / 2, lengths)
@@ -139,9 +139,12 @@ def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
 
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
-    """Rank a stats table's terms by its tc or df column."""
+    """Rank a stats table's terms by its tc or df column; an empty table
+    raises ValidationError, as it does for :func:`align_ranks`."""
     if by not in ("tc", "df"):
         raise ValidationError(f"by must be 'tc' or 'df', got {by!r}")
+    if len(table) == 0:
+        raise ValidationError("empty table: nothing to rank")
     column = table.count_arrays()[0] if by == "tc" else table.tc_df_arrays()[1]
     return _rank_sorted_rows(column, table.terms_at)
 

@@ -8,21 +8,22 @@ signed 64-bit integer (at most ``ingest.MAX_COUNT`` = 2**63 - 1).
 
 :func:`read_stats` is the one parser of the stats file format; every
 reader of a stats table, whatever it goes on to compute, applies the same
-checks.
+checks. It reads a table of any valid layout in one pass, in blocks of
+whole lines, and names the first bad line in file order.
 """
 
 from __future__ import annotations
 
-import array
 import functools
 import io
 import itertools
 import operator
 import os
+import stat
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .ingest import (
     TokenizerConfig,
     check_field,
     corpus_shards,
-    open_utf8,
+    line_blocks,
     parse_frequency_list,
     read_corpus,
     write_utf8,
@@ -98,18 +99,13 @@ class TermStatsTable:
         """
         terms: list[str] = []
         counts: list[int] = []
-        seen: set[str] | None = None  # built once terms stop being ascending
+        distinct = _Distinct(lambda: terms)
         for entry in entries:
-            term = entry.term
-            if seen is not None or (terms and term <= terms[-1]):
-                if seen is None:
-                    seen = set(terms)
-                if term in seen:
-                    raise ValidationError(f"duplicate term in entries: {term!r}")
-                seen.add(term)
-            terms.append(term)
+            if distinct.repeat([entry.term]) is not None:
+                raise ValidationError(f"duplicate term in entries: {entry.term!r}")
+            terms.append(entry.term)
             counts.append(entry.count)
-        if seen is not None:
+        if not distinct.ascending:
             order = sorted(range(len(terms)), key=terms.__getitem__)
             terms = [terms[i] for i in order]
             counts = [counts[i] for i in order]
@@ -222,6 +218,58 @@ class TermStatsTable:
                 f"term {self.terms_at(bad[:1])[0]!r}: need 1 <= df <= tc and"
                 f" df <= doc_count, got tc={tc[i]} df={df[i]} doc_count={self.doc_count}"
             )
+
+
+class _Distinct:
+    """Spots a repeated term among terms given in batches, in their order.
+
+    While the terms ascend, each is compared with the one before it. From
+    the first batch that does not ascend on, they go into a set, which
+    starts with ``earlier()``, the terms of the batches before.
+    """
+
+    def __init__(self, earlier: Callable[[], Iterable]):
+        self._earlier = earlier
+        self._last = None  # the last term, while they ascend
+        self._seen: set | None = None
+
+    @property
+    def ascending(self) -> bool:
+        return self._seen is None
+
+    def repeat(self, terms: list) -> int | None:
+        """The index of the first of ``terms`` that came before it, or None."""
+        if not terms:
+            return None
+        if self._seen is None:
+            if ((self._last is None or self._last < terms[0])
+                    and all(map(operator.lt, terms, itertools.islice(terms, 1, None)))):
+                self._last = terms[-1]
+                return None
+            self._seen = set(self._earlier())
+        for i, term in enumerate(terms):
+            if term in self._seen:
+                return i
+            self._seen.add(term)
+        return None
+
+
+def _sorted_terms(buffers: list) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The term buffer of the distinct terms of term ``buffers``, sorted; the
+    order that sorts all their terms; and which sorted term is a first copy.
+
+    The terms are kept as UTF-8 bytes, which sort as the str terms do, take
+    half the memory of decoded ones and compare faster. A stable sort
+    (timsort) merges ascending runs, such as the terms of one buffer.
+    """
+    keys = np.array([key for buf in buffers for key in bytes(buf).split(b"\n")[:-1]], dtype=object)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    packed = io.BytesIO()  # bytes.join would hold an 80-byte buffer record per term
+    packed.writelines(itertools.chain.from_iterable(zip(keys[first], itertools.repeat(b"\n"))))
+    return packed.getvalue(), order, first
 
 
 def _pack_terms(terms: list[str]) -> bytes:
@@ -339,17 +387,7 @@ def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
 def _add_tables(tables: list[TermStatsTable]) -> TermStatsTable:
     """The sum of tables counted over disjoint documents, as :func:`merge` adds two."""
     counts = [table.tc_df_arrays() for table in tables]
-    # The terms as UTF-8 bytes, which sort as the str terms do, take half
-    # the memory of decoded ones and compare faster.
-    keys = np.array([key for table in tables for key in table._terms.split(b"\n")[:-1]], dtype=object)
-    # Each table's keys are one ascending run, and a stable sort (timsort) merges runs.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)  # the first copy of each term
-    first[1:] = keys[1:] != keys[:-1]
-    packed = io.BytesIO()  # bytes.join would hold an 80-byte buffer record per term
-    packed.writelines(itertools.chain.from_iterable(zip(keys[first], itertools.repeat(b"\n"))))
-    del keys  # one object per input row: not kept while the counts are added
+    packed, order, first = _sorted_terms([table._terms for table in tables])
     where = np.empty(len(order), dtype=np.intp)  # each input row's merged row
     where[order] = np.cumsum(first) - 1
     totals = [np.zeros(int(first.sum()), dtype=np.uint64) for _ in range(2)]
@@ -358,7 +396,7 @@ def _add_tables(tables: list[TermStatsTable]) -> TermStatsTable:
             total[rows] += column.astype(np.uint64)  # below 2**64: both addends are below 2**63
             if int(total.max(initial=0)) > MAX_COUNT:
                 raise ValidationError("a merged count exceeds 2**63 - 1")
-    return TermStatsTable(packed.getvalue(), *(total.astype(np.int64) for total in totals),
+    return TermStatsTable(packed, *(total.astype(np.int64) for total in totals),
                           sum(table.doc_count for table in tables))
 
 
@@ -419,132 +457,144 @@ def read_stats(path) -> TermStatsTable:
     Round-trips losslessly. Counts are plain ASCII digits up to 2**63 - 1;
     every row needs a non-empty term and 1 <= df <= tc, df <= doc_count.
     Rows may come in any order (they are sorted once if they are not
-    ascending) but a term may appear only once. Any violation raises
-    ParseError with the line number.
-
-    A table as :func:`write_stats` writes it is read in blocks of whole
-    lines (:func:`_read_blocks`). Any other file, faulty ones included,
-    is read again from the start one line at a time (:func:`_read_lines`),
-    which sorts unsorted rows and names the first bad line.
+    ascending) but a term may appear only once. CRLF and CR line ends,
+    blank lines and a missing final newline are accepted. The file, or
+    pipe, is read once (:func:`_read_blocks`); any violation raises
+    ParseError naming the first bad line in file order.
     """
-    path = Path(path)
-    table = _read_blocks(path)
-    return table if table is not None else _read_lines(path)
+    return _read_blocks(Path(path))
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
     """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields.
 
-    A list of term-sorted ``term<TAB>count`` rows with LF line ends, a
-    final newline and ``#`` lines only before the first row is read in
-    blocks (:func:`_read_blocks`). Any other list, faulty ones included,
-    goes through the line loop of :func:`parse_frequency_list` and is
-    sorted once, which gives the same table and the same errors.
+    A regular file of ``term<TAB>count`` rows, with ``#`` lines only
+    before the first row, no blank line, no ``L`` row and no term twice,
+    is read in blocks (:func:`_read_blocks`). Any other list, faulty ones
+    included, goes through the line loop of :func:`parse_frequency_list`
+    and is sorted once, which gives the same table and the same errors.
     """
     path = Path(path)
-    table = _read_blocks(path, columns=1)
+    table = _read_blocks(path, columns=1) if path.is_file() else None  # a pipe cannot be read twice
     if table is not None:
         return table
     return TermStatsTable.from_entries(parse_frequency_list(path, keep_lemmatized))
 
 
 def _read_blocks(path: Path, columns: int = 2) -> TermStatsTable | None:
-    """Read a clean file in blocks of whole lines; None if any block is not clean.
+    """Read a stats table (``columns`` 2) or a frequency list (``columns`` 1) in one pass.
 
-    ``columns`` is 2 for a stats table (a ``#N=`` header, then
-    ``term<TAB>tc<TAB>df`` rows) and 1 for a frequency list (leading ``#``
-    lines, then ``term<TAB>count`` rows, read into a tc-only table).
-    Clean means: LF line ends, no blank line, a final newline, exactly
-    ``columns`` tabs per row, a non-empty term, valid UTF-8, counts of 1
-    to 19 ASCII digits no larger than 2**63 - 1 (a list's counts >= 1, a
-    table's 1 <= df <= tc and df <= N), and terms strictly ascending, also
-    from one block to the next. The blocks are read into one reused
-    buffer; a line longer than the buffer doubles it. Only regular files
-    are read this way, since the line loop reads again from the start.
+    A table is a ``#N=`` header, then ``term<TAB>tc<TAB>df`` rows; a list
+    is leading ``#`` lines, then ``term<TAB>count`` rows, read into a
+    tc-only table. :func:`_scan_block` parses each block of lines; a
+    table's block it cannot certify is parsed one line at a time, while a
+    list gives None, as it does for a repeated term. Terms that did not
+    ascend are sorted once at the end.
     """
-    if not path.is_file():  # a pipe cannot be read again by the line loop
-        return None
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        doc_count = _read_header(fh) if columns == 2 else _skip_comments(fh)
-        if doc_count is None:
-            return None
+        info = os.fstat(fh.fileno())
+        doc_count = None if columns == 2 else 0  # a table's comes from its header
+        head = columns == 1  # before a list's first row
         terms = bytearray()
         cols = [np.zeros(0, dtype=np.int64) for _ in range(columns)]
         rows = 0
-        last = b""  # sorts before every term, which is non-empty
-        buf = bytearray(_BLOCK_SIZE)
-        view = memoryview(buf)
-        kept = 0  # bytes of an unfinished line at the front of buf
-        while got := fh.readinto(view[kept:]):
-            end = kept + got
-            cut = buf.rfind(b"\n", 0, end) + 1
-            if not cut:
-                if end == len(buf):
-                    buf = bytearray(2 * len(buf))
-                    buf[:end] = view[:end]
-                    view = memoryview(buf)
-                kept = end
+        line_no = 0  # lines before the block
+        distinct = _Distinct(lambda: bytes(terms).split(b"\n")[:-1])
+        for block in line_blocks(fh, _BLOCK_SIZE):
+            data = np.frombuffer(block, dtype=np.uint8)
+            if doc_count is None:
+                header, data = _first_line(data)
+                doc_count = _parse_header(path, header)
+                line_no = 1
+            while head and data.size and data[0] == _HASH:  # a list's leading comments
+                comment, data = _first_line(data)
+                try:
+                    comment.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+                line_no += 1
+            head = head and not data.size
+            if not data.size:
                 continue
-            block = _scan_block(np.frombuffer(buf, dtype=np.uint8, count=cut), doc_count, last, columns)
-            if block is None:
+            scanned = _scan_block(data, doc_count, columns)
+            if scanned is not None:
+                block_terms, counts, keys = scanned
+                lines, fault = range(line_no + 1, line_no + 1 + len(keys)), None
+                line_no += len(keys)
+            elif columns == 1:
                 return None
-            block_terms, counts, last = block
-            terms += block_terms
-            n = counts[0].size
+            else:
+                block_terms, counts, keys, lines, fault = _parse_lines(path, data, line_no, doc_count)
+                line_no += int(np.count_nonzero(data == _LF))
+            i = distinct.repeat(keys)
+            if i is not None:
+                if columns == 1:
+                    return None
+                raise ParseError(path, lines[i], f"duplicate term {keys[i].decode('utf-8')!r}")
+            if fault is not None:
+                raise fault
+            n = len(keys)
             if rows + n > cols[0].size:
-                # room for the rows the rest of the file holds at this block's density
-                unread = max(file_size - fh.tell(), 0) + end - cut  # the file may have grown
-                capacity = rows + n + int(n * unread / cut * 1.05)
+                if stat.S_ISREG(info.st_mode):
+                    # room for the rows the rest of the file holds at this block's density
+                    capacity = rows + n + int(n * max(info.st_size - fh.tell(), 0) / data.size * 1.05)
+                else:  # a pipe, whose size is unknown
+                    capacity = 2 * (rows + n)
                 for col in cols:
                     col.resize(capacity, refcheck=False)
             for col, count in zip(cols, counts):
                 col[rows:rows + n] = count
             rows += n
-            buf[:end - cut] = buf[cut:end]  # a copy: the two ranges may overlap
-            kept = end - cut
-        if kept:  # no final newline
-            return None
+            terms += block_terms
+    if doc_count is None:  # an empty file
+        raise ParseError(path, 1, "missing #N=<doc_count> header")
     for col in cols:
         col.resize(rows, refcheck=False)
-    terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
+    if distinct.ascending:
+        terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
+    else:
+        terms, order, _ = _sorted_terms([terms])
+        cols = [col[order] for col in cols]
     return TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
 
 
-def _read_header(fh) -> int | None:
-    """A stats table's doc_count from its ``#N=`` line, or None if the line is not clean."""
-    header = fh.readline(len(b"#N=") + _MAX_DIGITS + 1)
-    digits = header[3:-1]
-    if not (header.startswith(b"#N=") and header.endswith(b"\n") and digits.isdigit()):
-        return None
-    doc_count = int(digits)
-    return doc_count if doc_count <= MAX_COUNT else None
+def _first_line(data: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The first line of a block, without its LF, and the rest of the block."""
+    eol = int(np.argmax(data == _LF))
+    return data[:eol].tobytes(), data[eol + 1:]
 
 
-def _skip_comments(fh) -> int | None:
-    """Skip a frequency list's leading ``#`` lines; 0, the doc_count of a
-    tc-only table, or None if one of them is not clean."""
-    while fh.peek(1)[:1] == b"#":
-        line = fh.readline()
-        if not line.endswith(b"\n") or b"\r" in line:
-            return None
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    return 0
+def _parse_header(path: Path, line: bytes) -> int:
+    """A stats table's doc_count from its ``#N=`` line; raises ParseError naming line 1."""
+    try:
+        header = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(path, 1, "not valid UTF-8") from None
+    if not header.startswith("#N="):
+        raise ParseError(path, 1, "missing #N=<doc_count> header")
+    count_text = header[3:]
+    if not (count_text.isascii() and count_text.isdigit()):
+        raise ParseError(path, 1, f"doc_count is not a plain integer: {count_text!r}")
+    try:
+        doc_count = int(count_text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(path, 1, "doc_count has too many digits") from None
+    if doc_count > MAX_COUNT:
+        raise ParseError(path, 1, "doc_count exceeds 2**63 - 1")
+    return doc_count
 
 
-def _scan_block(data: np.ndarray, doc_count: int, last: bytes, columns: int):
+def _scan_block(data: np.ndarray, doc_count: int, columns: int):
     """Check and parse one block of whole lines with ``columns`` counts per row.
 
     Returns the block's term buffer, its count columns as int64 and its
-    last term, or None if :func:`_read_blocks` must leave the file to the
-    line loop. ``last`` is the previous block's last term.
+    terms, or None if a line is blank, is not a valid row, or is one that
+    the scan does not parse: a count of more than 19 digits, or a list's
+    row that starts with ``#``.
     """
     ends = np.flatnonzero(data == _LF)
     tabs = np.flatnonzero(data == _TAB)
-    if tabs.size != columns * ends.size or (data == _CR).any():
+    if tabs.size != columns * ends.size:
         return None
     starts = np.empty_like(ends)
     starts[0] = 0
@@ -579,11 +629,9 @@ def _scan_block(data: np.ndarray, doc_count: int, last: bytes, columns: int):
             terms.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    rows = terms.split(b"\n")
-    rows.pop()
-    if not (last < rows[0] and all(map(operator.lt, rows, itertools.islice(rows, 1, None)))):
-        return None
-    return terms, [count.view(np.int64) for count in counts], rows[-1]
+    keys = terms.split(b"\n")
+    keys.pop()
+    return terms, [count.view(np.int64) for count in counts], keys
 
 
 def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
@@ -605,74 +653,53 @@ def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.nd
     return value
 
 
-def _read_lines(path: Path) -> TermStatsTable:
-    """Parse a stats file one line at a time, with every check of :func:`read_stats`."""
-    terms: list[str] = []
-    tc_col = array.array("q")
-    df_col = array.array("q")
-    prev = ""  # sorts before every term, which is non-empty
-    seen: set[str] | None = None  # built once rows stop being ascending
-    with open_utf8(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#N="):
-            raise ParseError(path, 1, "missing #N=<doc_count> header")
-        count_text = header[3:]
-        if not (count_text.isascii() and count_text.isdigit()):
-            raise ParseError(path, 1, f"doc_count is not a plain integer: {count_text!r}")
+def _parse_lines(path: Path, data: np.ndarray, line_no: int, doc_count: int):
+    """:func:`_scan_block`'s result for the rows before a table block's first
+    bad line, their line numbers, and that line's ParseError or None."""
+    rows: list[tuple[bytes, int, int]] = []
+    lines: list[int] = []
+    fault = None
+    for line_no, line in enumerate(data.tobytes().split(b"\n")[:-1], line_no + 1):
+        if not line:
+            continue
         try:
-            doc_count = int(count_text)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(path, 1, "doc_count has too many digits") from None
-        if doc_count > MAX_COUNT:
-            raise ParseError(path, 1, "doc_count exceeds 2**63 - 1")
-        add_term, add_tc, add_df = terms.append, tc_col.append, df_col.append
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected term<TAB>tc<TAB>df, got {len(parts)} fields")
-            term, tc_text, df_text = parts
-            if not (term and tc_text.isdigit() and df_text.isdigit()
-                    and tc_text.isascii() and df_text.isascii()):
-                raise ParseError(path, line_no, _field_fault(term, tc_text, df_text))
-            try:
-                tc, df = int(tc_text), int(df_text)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(path, line_no, "a count has too many digits") from None
-            if tc > MAX_COUNT:
-                raise ParseError(path, line_no, "tc exceeds 2**63 - 1")
-            if not 1 <= df <= tc:
-                raise ParseError(path, line_no, f"need 1 <= df <= tc, got tc={tc} df={df}")
-            if df > doc_count:
-                raise ParseError(path, line_no, f"df={df} exceeds doc_count={doc_count}")
-            if seen is not None or term <= prev:
-                if seen is None:
-                    seen = set(terms)
-                if term in seen:
-                    raise ParseError(path, line_no, f"duplicate term {term!r}")
-                seen.add(term)
-            prev = term
-            add_term(term)
-            add_tc(tc)
-            add_df(df)
-    tc_arr = np.frombuffer(tc_col, dtype=np.int64).copy()
-    df_arr = np.frombuffer(df_col, dtype=np.int64).copy()
-    if seen is not None:
-        order = sorted(range(len(terms)), key=terms.__getitem__)
-        terms = [terms[i] for i in order]
-        tc_arr, df_arr = tc_arr[order], df_arr[order]
-    return TermStatsTable(_pack_terms(terms), tc_arr, df_arr, doc_count)
+            rows.append(_parse_row(path, line_no, line, doc_count))
+        except ParseError as exc:
+            fault = exc
+            break
+        lines.append(line_no)
+    keys = [row[0] for row in rows]
+    counts = [np.array([row[k] for row in rows], dtype=np.int64) for k in (1, 2)]
+    return b"".join(key + b"\n" for key in keys), counts, keys, lines, fault
 
 
-def _field_fault(term: str, tc_text: str, df_text: str) -> str:
-    """Name the first fault of a row that failed the combined field check."""
+def _parse_row(path: Path, line_no: int, line: bytes, doc_count: int) -> tuple[bytes, int, int]:
+    """A table row's term as UTF-8, its tc and its df, with every check of
+    :func:`read_stats` in turn; raises ParseError naming ``line_no``."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(path, line_no, "not valid UTF-8") from None
+    parts = text.split("\t")
+    if len(parts) != 3:
+        raise ParseError(path, line_no, f"expected term<TAB>tc<TAB>df, got {len(parts)} fields")
+    term, tc_text, df_text = parts
     if not term:
-        return "empty term"
-    if tc_text.isascii() and tc_text.isdigit():
-        return f"df is not a plain integer: {df_text!r}"
-    return f"tc is not a plain integer: {tc_text!r}"
+        raise ParseError(path, line_no, "empty term")
+    for name, digits in (("tc", tc_text), ("df", df_text)):
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(path, line_no, f"{name} is not a plain integer: {digits!r}")
+    try:
+        tc, df = int(tc_text), int(df_text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(path, line_no, "a count has too many digits") from None
+    if tc > MAX_COUNT:
+        raise ParseError(path, line_no, "tc exceeds 2**63 - 1")
+    if not 1 <= df <= tc:
+        raise ParseError(path, line_no, f"need 1 <= df <= tc, got tc={tc} df={df}")
+    if df > doc_count:
+        raise ParseError(path, line_no, f"df={df} exceeds doc_count={doc_count}")
+    return line.split(b"\t", 1)[0], tc, df
 
 
 def read_stats_columns(path) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,10 +1,12 @@
-"""The block scan of stats tables and frequency lists against reference parsers,
-at several block sizes.
+"""The block reader of stats tables and frequency lists against reference
+parsers, at several block sizes.
 
-``read_stats`` and ``read_frequency_table`` read a clean file in blocks of
-whole lines and leave any other file to a line loop. These tests shrink
-the block size so that block boundaries fall inside rows, inside
-multi-byte characters and between out-of-order rows, and require the same
+``read_stats`` reads every table layout in one pass, in blocks of whole
+lines, and names the first bad line in file order. ``read_frequency_table``
+reads a list of plain rows the same way and leaves any other list to the
+line loop of ``parse_frequency_list``. These tests shrink the block size so
+that block boundaries fall inside rows, inside multi-byte characters,
+inside CRLF line ends and between out-of-order rows, and require the same
 table, or the same ``path:line: message``, at every size.
 """
 
@@ -57,16 +59,19 @@ def block_size(size):
         yield
 
 
-def read_at(path, size):
-    with block_size(size):
-        table = read_stats(path)
+def columns_of(table):
     tc, df = table.count_arrays()
     return table.terms(), tc.tolist(), df.tolist(), table.doc_count
 
 
+def read_at(path, size):
+    with block_size(size):
+        return columns_of(read_stats(path))
+
+
 def blocks_at(path, size):
     with block_size(size):
-        return stats._read_blocks(path)
+        return columns_of(stats._read_blocks(path))
 
 
 def error_at(path, size) -> ParseError:
@@ -98,12 +103,12 @@ def table_dir(tmp_path_factory):
     table=tables(),
     shuffle=st.randoms(use_true_random=False),
     unsorted=st.booleans(),
-    crlf=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
     blank=st.booleans(),
     final_newline=st.booleans(),
 )
 def test_every_block_size_reads_the_reference_table(
-    table_dir, table, shuffle, unsorted, crlf, blank, final_newline
+    table_dir, table, shuffle, unsorted, eol, blank, final_newline
 ):
     doc_count, rows = table
     if unsorted:
@@ -111,16 +116,13 @@ def test_every_block_size_reads_the_reference_table(
     lines = [f"#N={doc_count}"] + [f"{t}\t{tc}\t{df}" for t, tc, df in rows]
     if blank:
         lines.insert(len(lines) // 2 + 1, "")
-    eol = "\r\n" if crlf else "\n"
     text = eol.join(lines) + (eol if final_newline else "")
     path = table_dir / "table.stats"
     path.write_bytes(text.encode("utf-8"))
     want = reference(path.read_bytes())
-    # the layout write_stats writes, which the line loop is never needed for
-    clean = text == f"#N={doc_count}\n" + "".join(f"{t}\t{tc}\t{df}\n" for t, tc, df in sorted(rows))
     for size in BLOCK_SIZES:
         assert read_at(path, size) == want, size
-        assert (blocks_at(path, size) is not None) == clean, size
+        assert blocks_at(path, size) == want, size
 
 
 # Faults for one row; each must be reported as the line loop reports it,
@@ -176,22 +178,22 @@ def test_invalid_utf8_in_a_later_block_names_its_line(table_dir, size):
 
 @pytest.mark.parametrize("inside", [1, 2, 3])
 def test_a_character_cut_by_the_block_boundary(table_dir, inside):
-    # The header is read on its own; the first 64-byte block then ends
-    # after ``inside`` bytes of the four-byte character in the second row.
+    # The first 64-byte block ends after ``inside`` bytes of the four-byte
+    # character in the second row.
     path = table_dir / "cut.stats"
-    path.write_bytes(f"#N=5\n{'a' * (59 - inside)}\t1\t1\n\U0001d11ex\t2\t1\n".encode("utf-8"))
-    assert path.read_bytes().index("\U0001d11e".encode()) == len("#N=5\n") + 64 - inside
+    path.write_bytes(f"#N=5\n{'a' * (54 - inside)}\t1\t1\n\U0001d11ex\t2\t1\n".encode("utf-8"))
+    assert path.read_bytes().index("\U0001d11e".encode()) == 64 - inside
     assert read_at(path, 64) == reference(path.read_bytes())
-    assert blocks_at(path, 64) is not None
+    assert blocks_at(path, 64) == reference(path.read_bytes())
 
 
-def test_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
-    # The line loop reads again from the start, which a pipe cannot do, so
-    # an unsorted table from a pipe must never go through the block scan.
+def test_a_pipe_is_read_in_one_pass(tmp_path):
+    # A pipe can be read only once, so an unsorted CRLF table with a blank
+    # line read from one shows that no layout makes the reader start again.
     fifo = tmp_path / "table.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=("#N=5\nb\t2\t1\na\t1\t1\n",),
-                              daemon=True)
+    text = "#N=5\r\nb\t2\t1\r\n\r\na\t1\t1\r\n"
+    writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),), daemon=True)
     writer.start()
     try:
         table = read_stats(fifo)
@@ -201,11 +203,28 @@ def test_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
     assert table.as_mapping() == {"a": (1, 1), "b": (2, 1)}
 
 
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_the_first_bad_line_in_file_order_is_named(table_dir, size):
+    # a bad count on line 2 before a byte that is not UTF-8 on line 3
+    path = table_dir / "order.stats"
+    path.write_bytes(b"#N=5\nx\t1.0\t1\nb\xff\t1\t1\n")
+    assert str(error_at(path, size)) == f"{path}:2: tc is not a plain integer: '1.0'"
+    # a repeated term on line 4 before a bad count on line 5
+    path.write_bytes(b"#N=5\nb\t1\t1\na\t1\t1\nb\t2\t1\nc\tx\t1\n")
+    assert str(error_at(path, size)) == f"{path}:4: duplicate term 'b'"
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_count_of_more_than_19_digits_with_leading_zeros(table_dir, size):
+    path = table_dir / "zeros.stats"
+    path.write_bytes(b"#N=5\na\t000000000000000000001\t1\nb\t2\t01\n")
+    assert read_at(path, size) == (["a", "b"], [1, 2], [1, 1], 5)
+
+
 # Frequency lists: the same block scan with one count column, read into a
-# tc-only table. A clean list is term-sorted ``term<TAB>count`` rows with LF
-# line ends, a final newline and ``#`` lines only at the top; any other list
-# goes to parse_frequency_list's line loop, with the same table or the same
-# error.
+# tc-only table. A list of ``term<TAB>count`` rows, each term once, with
+# ``#`` lines only at the top is read in blocks; any other list goes to
+# parse_frequency_list's line loop, with the same table or the same error.
 
 
 def list_reference(data: bytes, keep_lemmatized: bool):
@@ -242,7 +261,7 @@ def list_blocks_at(path, size):
     data=st.data(),
     shuffle=st.randoms(use_true_random=False),
     unsorted=st.booleans(),
-    crlf=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
     leading=st.sampled_from(["", "# term<TAB>count\n", "#\n# two lines, café\n"]),
     middle=st.sampled_from([None, "", "# a comment", "#x\t5"]),
     lemmas=st.booleans(),
@@ -250,24 +269,25 @@ def list_blocks_at(path, size):
     final_newline=st.booleans(),
 )
 def test_every_block_size_reads_the_reference_list(
-    table_dir, terms, data, shuffle, unsorted, crlf, leading, middle, lemmas, keep_lemmatized,
+    table_dir, terms, data, shuffle, unsorted, eol, leading, middle, lemmas, keep_lemmatized,
     final_newline,
 ):
     rows = [f"{t}\t{data.draw(counts_st)}" for t in sorted(terms)]
-    # the layout the block scan reads; any change to it leaves the list to the line loop
-    canonical = leading + "".join(f"{row}\n" for row in rows)
     if unsorted:
         shuffle.shuffle(rows)
     if lemmas:  # a lemma row of a term no surface row has
         rows.append(f"{'L' + (terms[0] if terms else '')}\t7\tL")
     if middle is not None and rows:  # after the first row: a line that is not at the top
         rows.insert(max(1, len(rows) // 2), middle)
-    eol = "\r\n" if crlf else "\n"
     text = leading.replace("\n", eol) + eol.join(rows) + (eol if final_newline and rows else "")
     path = table_dir / "words.freq"
     path.write_bytes(text.encode("utf-8"))
     want = list_reference(path.read_bytes(), keep_lemmatized)
-    clean = text == canonical
+    # the layouts the block path reads: after the leading comments, term<TAB>count rows only
+    lines = re.sub("\r\n|\r", "\n", text)[len(leading):].split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    clean = all(line.count("\t") == 1 and not line.startswith("#") for line in lines)
     for size in BLOCK_SIZES:
         assert read_list_at(path, size, keep_lemmatized) == want, size
         assert (list_blocks_at(path, size) is not None) == clean, size

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import corpusstats
-from corpusstats import ranking, read_stats
+from corpusstats import ranking, ratio, read_stats
 from corpusstats.cli import main
 from conftest import SONG_TITLES
 
@@ -111,6 +112,18 @@ class TestRank:
         assert main(["rank", "--stats", str(song_stats_file), "--by", "tc",
                      "--scatter", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("mode", [["--by", "tc"], ["--overlap", "1", "2"]])
+    def test_a_table_with_no_rows_is_a_data_error(self, mode, tmp_path, capsys):
+        # as for --scatter, correlate, ratio and ffreq: nothing to rank
+        empty = tmp_path / "empty.stats"
+        empty.write_text("#N=5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["rank", "--stats", str(empty), *mode, "--out", str(out / "o")]) == 2
+        assert capsys.readouterr().err == "error: empty table: nothing to rank\n"
+        assert list(out.iterdir()) == []
+
 
 class TestCorrelate:
     def test_report_values(self, song_stats_file, tmp_path):
@@ -192,6 +205,16 @@ class TestCorrelate:
         assert out.read_bytes() == b"old report\n"
         assert not curve.exists()
 
+    def test_an_unwritable_curve_leaves_no_report(self, song_stats_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out, curve = out_dir / "r.tsv", tmp_path / "missing" / "c.tsv"
+        capsys.readouterr()
+        assert main(["correlate", "--stats", str(song_stats_file), "--out", str(out),
+                     "--curve-out", str(curve), "--checkpoints", "3"]) == 3
+        assert list(out_dir.iterdir()) == []
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{curve}'\n"
+
 
 class TestRatio:
     def test_all_roundings_written(self, song_stats_file, tmp_path):
@@ -211,6 +234,27 @@ class TestRatio:
                 "--out-prefix", str(prefix), "--rounding", "integer"])
         assert (tmp_path / "r.integer.tsv").exists()
         assert not (tmp_path / "r.one_decimal.tsv").exists()
+
+    def test_a_failed_fourth_file_leaves_none_of_the_six(self, song_stats_file, tmp_path,
+                                                         monkeypatch):
+        write_utf8 = ratio.write_utf8
+        opened = []
+
+        @contextmanager
+        def disk_full_in_the_fourth(path):
+            opened.append(path)
+            with write_utf8(path) as fh:
+                if len(opened) == 4:
+                    raise OSError(28, "No space left on device")
+                yield fh
+
+        monkeypatch.setattr(ratio, "write_utf8", disk_full_in_the_fourth)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["ratio", "--stats", str(song_stats_file), "--rounding", "all",
+                     "--out-prefix", str(out_dir / "r")]) == 3
+        assert len(opened) == 4
+        assert list(out_dir.iterdir()) == []
 
 
 class TestFfreq:

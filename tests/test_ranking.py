@@ -184,8 +184,12 @@ class TestAlignRanks:
         assert len(aligned.terms) == aligned.tc_ranks.size == aligned.df_ranks.size
 
     def test_empty_table_rejected(self):
+        empty = TermStatsTable.from_mapping({}, 0)
         with pytest.raises(ValidationError):
-            align_ranks(TermStatsTable.from_mapping({}, 0))
+            align_ranks(empty)
+        for by in ("tc", "df"):
+            with pytest.raises(ValidationError, match="empty table: nothing to rank"):
+                ranked_by(empty, by)
 
 
 class TestExports:
