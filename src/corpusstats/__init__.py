@@ -37,6 +37,7 @@ from .stats import (
     frequency_of_frequencies,
     merge,
     read_frequency_table,
+    read_ngram_table,
     read_stats,
     read_stats_columns,
     write_stats,

@@ -29,11 +29,10 @@ from .ingest import (
     DEFAULT_SEPARATOR,
     Document,
     TokenizerConfig,
-    open_utf8,
     outputs_together,
     parse_frequency_list,
-    parse_ngram_counts,
     read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
+    read_utf8,
     tokenize,
     write_utf8,
 )
@@ -335,28 +334,29 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
         raise UsageError("choose exactly one of --stats, --freq-list, --ngram")
     flag, path = given[0]
     if flag == "--stats":
-        histogram = stats.frequency_of_frequencies(stats.read_stats(path), args.which)
+        source = stats.read_stats(path)
+    elif args.which != "tc":
+        raise UsageError(f"--which df needs a stats table, not {flag}")
+    elif flag == "--ngram":
+        source = stats.read_ngram_table(path, args.min_count)
+    elif args.keep_lemmatized:
+        # a table holds one row per term: this counts a term's lemma and surface rows apart
+        source = parse_frequency_list(path, keep_lemmatized=True)
     else:
-        if args.which != "tc":
-            raise UsageError(f"--which df needs a stats table, not {flag}")
-        if flag == "--freq-list":
-            entries = parse_frequency_list(path, keep_lemmatized=args.keep_lemmatized)
-        else:
-            entries = parse_ngram_counts(path, min_count=args.min_count)
-        histogram = stats.frequency_of_frequencies(entries, "tc")
+        source = stats.read_frequency_table(path)
+    histogram = stats.frequency_of_frequencies(source, args.which)
     _write_report(sorted(histogram.items()), args.out, args.format)
 
 
 def _load_docs(args: argparse.Namespace) -> list[Document]:
     if not args.docs:
         raise UsageError("at least one --doc is required")
-    tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
-    docs = []
+    first: dict[str, Path] = {}  # a document's id is its file's stem
     for path in args.docs:
-        with open_utf8(path) as fh:
-            text = fh.read()
-        docs.append(Document(path.stem, tokenize(text, tokenizer)))
-    return docs
+        if (other := first.setdefault(path.stem, path)) is not path:
+            raise UsageError(f"--doc {other} and --doc {path} have the same document id {path.stem!r}")
+    tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
+    return [Document(path.stem, tokenize(read_utf8(path), tokenizer)) for path in args.docs]
 
 
 def _background_model(args: argparse.Namespace) -> lexsig.BackgroundModel:

@@ -26,7 +26,7 @@ MAX_COUNT = 2**63 - 1
 #: Line that separates documents in single-stream corpus files.
 DEFAULT_SEPARATOR = "%%DOC%%"
 
-_STREAM_BLOCK = 1 << 18  # bytes a stream shard reads at a time
+_STREAM_BLOCK = 1 << 18  # bytes a stream reader or the list line loop reads at a time
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,36 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     return tokens
 
 
-@contextmanager
-def open_utf8(path) -> Iterator[TextIO]:
-    """Open ``path`` as UTF-8 text; a byte that does not decode raises
-    ParseError naming the first line that is not valid UTF-8.
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; a byte that is not UTF-8 raises ParseError naming its line."""
+    text, fault = decode_lines(path, Path(path).read_bytes())
+    if fault is not None:
+        raise fault
+    return text
 
-    The line is found by re-reading the file as bytes, one line at a time:
-    the text decoder works on chunks, so the reader's own line counter may
-    still be several lines short of the bad byte when the error fires.
-    """
+
+def read_lines(path) -> Iterator[str]:
+    """The lines of the file at ``path``, without their ends (:func:`line_blocks`);
+    a byte that is not UTF-8 raises ParseError once the lines before it are yielded."""
+    line_no = 0
+    with open(path, "rb") as fh:
+        for block in line_blocks(fh, _STREAM_BLOCK):
+            text, fault = decode_lines(path, block, line_no)
+            yield from text.split("\n")[:-1]
+            if fault is not None:
+                raise fault
+            line_no += text.count("\n")
+
+
+def decode_lines(path, data, line_no: int = 0) -> tuple[str, ParseError | None]:
+    """``data``, the lines of ``path`` after line ``line_no``, decoded, and None;
+    or, if a byte is not UTF-8, the lines before its line and a ParseError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ParseError(path, line_no, "not valid UTF-8") from None
-        raise
+        return str(data, "utf-8"), None
+    except UnicodeDecodeError as exc:
+        head = _lf_ends(memoryview(data)[:exc.start])
+        text = str(head[:head.rfind(b"\n") + 1], "utf-8")
+        return text, ParseError(path, line_no + head.count(b"\n") + 1, "not valid UTF-8")
 
 
 @contextmanager
@@ -216,35 +226,26 @@ def _corpus_files(path: Path) -> list[Path]:
 
 def _read_directory(path: Path, cfg: TokenizerConfig) -> Iterator[Document]:
     for file in _corpus_files(path):
-        with open_utf8(file) as fh:
-            text = fh.read()
-        yield Document(file.stem, tokenize(text, cfg))
+        yield Document(file.stem, tokenize(read_utf8(file), cfg))
 
 
 def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[Document]:
     if not separator:
         raise ValidationError("document separator must be non-empty")
     index = 0
-    segment: list[str] = []
-    ended_on_separator = False
-    saw_any_line = False
-    with open_utf8(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            saw_any_line = True
-            line = raw.rstrip("\n")
-            if line == separator:
-                index += 1
-                yield _stream_doc(index, segment, cfg)
-                segment = []
-                ended_on_separator = True
-            elif line.startswith(separator):
-                raise ParseError(path, line_no, f"malformed document separator: {line!r}")
-            else:
-                segment.append(line)
-                ended_on_separator = False
-    # n separators make n+1 segments, but a zero-line final segment (the
-    # file ended right after a separator) is not a document.
-    if saw_any_line and (segment or not ended_on_separator):
+    segment = None  # the lines of the document being read; None before its first line
+    for line_no, line in enumerate(read_lines(path), 1):
+        if line == separator:
+            index += 1
+            yield _stream_doc(index, segment or [], cfg)
+            segment = None
+        elif line.startswith(separator):
+            raise ParseError(path, line_no, f"malformed document separator: {line!r}")
+        elif segment is None:
+            segment = [line]
+        else:
+            segment.append(line)
+    if segment is not None:  # the lines after the last separator
         yield _stream_doc(index + 1, segment, cfg)
 
 
@@ -253,7 +254,7 @@ def _stream_doc(index: int, lines: list[str], cfg: TokenizerConfig) -> Document:
 
 
 class ShardFault(Exception):
-    """A corpus shard holds what only :func:`read_corpus` reads or reports
+    """A stream shard holds what only :func:`read_corpus` reads or reports
     exactly: bytes that are not UTF-8 (reported with their line number), a
     line that starts with the separator but is longer, an unreadable or
     shrunken file, or a separator that spans lines."""
@@ -266,13 +267,9 @@ class FileShard:
     files: tuple[Path, ...]
 
     def token_lists(self, config: TokenizerConfig) -> Iterator[list[str]]:
-        """The tokens of each document, in corpus order; raises ShardFault."""
+        """The tokens of each document, in corpus order; raises as :func:`read_corpus` does."""
         for file in self.files:
-            try:
-                text = file.read_bytes().decode("utf-8")
-            except (OSError, UnicodeDecodeError):
-                raise ShardFault(file) from None
-            yield tokenize(text, config)
+            yield tokenize(read_utf8(file), config)
 
 
 @dataclass(frozen=True)
@@ -430,8 +427,78 @@ def _separator_line_end(fh, line: re.Pattern, keep: int, offset: int) -> int | N
     return None
 
 
+@dataclass(frozen=True)
+class RowLayout:
+    """The rows of a tab-separated count file, as :func:`parse_row` reads them."""
+
+    fields: str  # as an error message names them
+    counts: tuple[str, ...]  # the names of the count fields after the term
+    duplicate: str  # the message for a repeated term {}
+    comments: bool = False  # a line that starts with '#' is skipped
+    lemma_field: bool = False  # an optional last field 'L' marks a lemma row
+
+    def duplicate_error(self, path, line_no: int, term: str, lemma: bool = False) -> ParseError:
+        label = f"{term!r} (lemma row)" if lemma else repr(term)
+        return ParseError(path, line_no, self.duplicate.format(label))
+
+
+# The rows of a stats table (after its header), a frequency list and an n-gram count file.
+STATS_ROWS = RowLayout("term<TAB>tc<TAB>df", ("tc", "df"), "duplicate term {}")
+LIST_ROWS = RowLayout("term<TAB>count<TAB>[L]", ("count",),
+                      "duplicate term {}; refusing to re-aggregate", comments=True, lemma_field=True)
+NGRAM_ROWS = RowLayout("token<TAB>count", ("count",), LIST_ROWS.duplicate)
+
+
+def parse_row(path, line_no: int, line: str, layout: RowLayout, lemmas: set[str],
+              doc_count: int = 0) -> tuple[str, list[int], bool] | None:
+    """The term, counts and lemma flag of line ``line_no``, or None for a blank line or a comment.
+
+    Applies each check that needs no other row in turn, a table's df <=
+    ``doc_count`` too, and raises ParseError naming ``line_no`` at the
+    first that fails. A lemma row's term may not be in ``lemmas`` yet.
+    """
+    if not line or layout.comments and line[0] == "#":
+        return None
+    parts = line.split("\t")
+    lemma = layout.lemma_field and len(parts) == len(layout.counts) + 2
+    if lemma:
+        if parts[-1] != "L":
+            raise ParseError(path, line_no, f"unknown row flag {parts[-1]!r} (only 'L' is defined)")
+        parts.pop()
+    elif len(parts) != len(layout.counts) + 1:
+        raise ParseError(path, line_no, f"expected {layout.fields}, got {len(parts)} fields")
+    term = parts[0]
+    if not term:
+        raise ParseError(path, line_no, "empty term")
+    counts = parts[1:]
+    for i, digits in enumerate(counts):
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(path, line_no, f"{layout.counts[i]} is not a plain integer: {digits!r}")
+        try:
+            counts[i] = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(path, line_no, "a count has too many digits") from None
+    if len(counts) == 2:  # a table's tc and df
+        tc, df = counts
+        if tc > MAX_COUNT:
+            raise ParseError(path, line_no, "tc exceeds 2**63 - 1")
+        if not 1 <= df <= tc:
+            raise ParseError(path, line_no, f"need 1 <= df <= tc, got tc={tc} df={df}")
+        if df > doc_count:
+            raise ParseError(path, line_no, f"df={df} exceeds doc_count={doc_count}")
+    elif counts[0] < 1:
+        raise ParseError(path, line_no, f"count must be >= 1, got {counts[0]}")
+    elif counts[0] > MAX_COUNT:
+        raise ParseError(path, line_no, f"count exceeds 2**63 - 1: {counts[0]}")
+    if lemma:
+        if term in lemmas:
+            raise layout.duplicate_error(path, line_no, term, lemma=True)
+        lemmas.add(term)
+    return term, counts, lemma
+
+
 def parse_frequency_list(source, keep_lemmatized: bool = False) -> Iterator[FrequencyListEntry]:
-    """Yield entries from a tab-separated frequency list.
+    """Yield entries from a tab-separated frequency list, in file order.
 
     Row format is ``term<TAB>count`` with an optional third field ``L``
     marking a lemma row. Lines starting with ``#`` and blank lines are
@@ -442,13 +509,7 @@ def parse_frequency_list(source, keep_lemmatized: bool = False) -> Iterator[Freq
     dropped unless ``keep_lemmatized`` is true (they still participate in
     duplicate detection either way).
     """
-    yield from _parse_count_rows(
-        Path(source),
-        lemma_field=True,
-        comments=True,
-        keep_lemmatized=keep_lemmatized,
-        min_count=1,
-    )
+    yield from _parse_count_rows(Path(source), LIST_ROWS, keep_lemmatized, 1)
 
 
 def parse_ngram_counts(source, min_count: int = 0) -> Iterator[FrequencyListEntry]:
@@ -460,63 +521,25 @@ def parse_ngram_counts(source, min_count: int = 0) -> Iterator[FrequencyListEntr
     """
     if min_count < 0:
         raise ValidationError(f"min_count must be >= 0, got {min_count}")
-    yield from _parse_count_rows(
-        Path(source),
-        lemma_field=False,
-        comments=False,
-        keep_lemmatized=False,
-        min_count=min_count,
-    )
+    yield from _parse_count_rows(Path(source), NGRAM_ROWS, False, min_count)
 
 
-def _parse_count_rows(
-    path: Path,
-    *,
-    lemma_field: bool,
-    comments: bool,
-    keep_lemmatized: bool,
-    min_count: int,
-) -> Iterator[FrequencyListEntry]:
-    layout = "term<TAB>count<TAB>[L]" if lemma_field else "token<TAB>count"
-    seen: set[tuple[str, bool]] = set()
-    with open_utf8(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if comments and line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            lemmatized = False
-            if len(parts) == 3 and lemma_field:
-                if parts[2] != "L":
-                    raise ParseError(path, line_no, f"unknown row flag {parts[2]!r} (only 'L' is defined)")
-                lemmatized = True
-            elif len(parts) != 2:
-                raise ParseError(path, line_no, f"expected {layout}, got {len(parts)} fields")
-            term, count_text = parts[0], parts[1]
-            if not term:
-                raise ParseError(path, line_no, "empty term")
-            if not (count_text.isascii() and count_text.isdigit()):
-                raise ParseError(path, line_no, f"count is not a plain integer: {count_text!r}")
-            try:
-                count = int(count_text)
-            except ValueError:  # more digits than int() converts
-                raise ParseError(path, line_no, "a count has too many digits") from None
-            if count < 1:
-                raise ParseError(path, line_no, f"count must be >= 1, got {count}")
-            if count > MAX_COUNT:
-                raise ParseError(path, line_no, f"count exceeds 2**63 - 1: {count}")
-            key = (term, lemmatized)
-            if key in seen:
-                label = f"{term!r} (lemma row)" if lemmatized else repr(term)
-                raise ParseError(path, line_no, f"duplicate term {label}; refusing to re-aggregate")
-            seen.add(key)
-            if lemmatized and not keep_lemmatized:
-                continue
-            if count < min_count:
-                continue
-            yield FrequencyListEntry(term, count, lemmatized)
+def _parse_count_rows(path: Path, layout: RowLayout, keep_lemmatized: bool,
+                      min_count: int) -> Iterator[FrequencyListEntry]:
+    """The rows :func:`parse_row` reads, in file order; a repeated term raises ParseError."""
+    lemmas: set[str] = set()
+    seen: set[str] = set()
+    for line_no, line in enumerate(read_lines(path), 1):
+        row = parse_row(path, line_no, line, layout, lemmas)
+        if row is None or row[2] and not keep_lemmatized:
+            continue
+        term, (count,), lemma = row
+        if not lemma:
+            if term in seen:
+                raise layout.duplicate_error(path, line_no, term)
+            seen.add(term)
+        if count >= min_count:
+            yield FrequencyListEntry(term, count, lemma)
 
 
 def check_field(term: str) -> None:

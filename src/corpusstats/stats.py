@@ -30,15 +30,20 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .ingest import (
     DEFAULT_SEPARATOR,
+    LIST_ROWS,
     MAX_COUNT,
+    NGRAM_ROWS,
+    STATS_ROWS,
     Document,
     FrequencyListEntry,
+    RowLayout,
     ShardFault,
     TokenizerConfig,
     check_field,
     corpus_shards,
+    decode_lines,
     line_blocks,
-    parse_frequency_list,
+    parse_row,
     read_corpus,
     write_utf8,
 )
@@ -61,8 +66,8 @@ class TermStatsTable:
     The constructor takes the term buffer and the count columns as they
     are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
     A frequency list gives a tc-only table (:meth:`from_entries`,
-    :func:`read_frequency_table`): its df column is None and its
-    doc_count 0, since a list carries neither.
+    :func:`read_frequency_table`, :func:`read_ngram_table`): its df
+    column is None and its doc_count 0, since a list carries neither.
     Treated as immutable once built; reads are safe to share across threads.
     """
 
@@ -301,12 +306,12 @@ def count_corpus(source, config: TokenizerConfig | None = None,
     (:func:`ingest.corpus_shards`), and no more than there are usable
     CPUs. :func:`_count_shard` reads, tokenizes and tallies each one: in
     this process if there is one, else in a pool of one forked worker
-    process per shard. The shard tables are added up in shard order. If
-    a shard meets input that only the serial reader can report (see
-    :class:`ingest.ShardFault`), the corpus is read again by
-    :func:`compute_tc_df` over :func:`ingest.read_corpus`, which raises
-    its error, so every ``jobs`` value gives the same table or the same
-    error.
+    process per shard. The shard tables are added up in shard order. A
+    file shard raises what the serial reader raises; a stream shard that
+    meets input only the serial reader reports exactly (see
+    :class:`ingest.ShardFault`) makes :func:`compute_tc_df` read the
+    corpus again over :func:`ingest.read_corpus`. So every ``jobs`` value
+    gives the same table or the same error.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -466,39 +471,36 @@ def read_stats(path) -> TermStatsTable:
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
-    """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields.
+    """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields,
+    with its errors. A table holds one row per term, so with ``keep_lemmatized``
+    a lemma row and a surface row of one term are a duplicate too."""
+    return _read_blocks(Path(path), LIST_ROWS, keep_lemmatized)
 
-    A regular file of ``term<TAB>count`` rows, with ``#`` lines only
-    before the first row, no blank line, no ``L`` row and no term twice,
-    is read in blocks (:func:`_read_blocks`). Any other list, faulty ones
-    included, goes through the line loop of :func:`parse_frequency_list`
-    and is sorted once, which gives the same table and the same errors.
+
+def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
+    """An n-gram count file as a tc-only table: the rows :func:`parse_ngram_counts` yields."""
+    return _read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)
+
+
+def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bool = False,
+                 min_count: int = 0) -> TermStatsTable:
+    """Read a stats table, or a list or n-gram file's rows (``layout``) as a tc-only table, in one pass.
+
+    Lemma rows are kept only with ``keep_lemmatized``, and counts below
+    ``min_count`` dropped after every check. :func:`_scan_block` parses
+    each block of lines; a block it cannot certify is parsed one line at
+    a time (:func:`_parse_lines`). Terms that did not ascend are sorted
+    once at the end. Raises at the first bad line in file order.
     """
-    path = Path(path)
-    table = _read_blocks(path, columns=1) if path.is_file() else None  # a pipe cannot be read twice
-    if table is not None:
-        return table
-    return TermStatsTable.from_entries(parse_frequency_list(path, keep_lemmatized))
-
-
-def _read_blocks(path: Path, columns: int = 2) -> TermStatsTable | None:
-    """Read a stats table (``columns`` 2) or a frequency list (``columns`` 1) in one pass.
-
-    A table is a ``#N=`` header, then ``term<TAB>tc<TAB>df`` rows; a list
-    is leading ``#`` lines, then ``term<TAB>count`` rows, read into a
-    tc-only table. :func:`_scan_block` parses each block of lines; a
-    table's block it cannot certify is parsed one line at a time, while a
-    list gives None, as it does for a repeated term. Terms that did not
-    ascend are sorted once at the end.
-    """
+    columns = len(layout.counts)
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         doc_count = None if columns == 2 else 0  # a table's comes from its header
-        head = columns == 1  # before a list's first row
         terms = bytearray()
         cols = [np.zeros(0, dtype=np.int64) for _ in range(columns)]
         rows = 0
         line_no = 0  # lines before the block
+        lemmas: set[str] = set()  # the terms of a list's lemma rows
         distinct = _Distinct(lambda: bytes(terms).split(b"\n")[:-1])
         for block in line_blocks(fh, _BLOCK_SIZE):
             data = np.frombuffer(block, dtype=np.uint8)
@@ -506,31 +508,26 @@ def _read_blocks(path: Path, columns: int = 2) -> TermStatsTable | None:
                 header, data = _first_line(data)
                 doc_count = _parse_header(path, header)
                 line_no = 1
-            while head and data.size and data[0] == _HASH:  # a list's leading comments
+            while layout.comments and data.size and data[0] == _HASH:  # the scan takes no comment
                 comment, data = _first_line(data)
-                try:
-                    comment.decode("utf-8")
-                except UnicodeDecodeError:
-                    return None
+                _, fault = decode_lines(path, comment, line_no)
+                if fault is not None:
+                    raise fault
                 line_no += 1
-            head = head and not data.size
             if not data.size:
                 continue
-            scanned = _scan_block(data, doc_count, columns)
+            scanned = _scan_block(data, doc_count, columns, layout.comments)
             if scanned is not None:
                 block_terms, counts, keys = scanned
                 lines, fault = range(line_no + 1, line_no + 1 + len(keys)), None
                 line_no += len(keys)
-            elif columns == 1:
-                return None
             else:
-                block_terms, counts, keys, lines, fault = _parse_lines(path, data, line_no, doc_count)
+                block_terms, counts, keys, lines, fault = _parse_lines(
+                    path, data, line_no, layout, lemmas, keep_lemmatized, doc_count)
                 line_no += int(np.count_nonzero(data == _LF))
             i = distinct.repeat(keys)
-            if i is not None:
-                if columns == 1:
-                    return None
-                raise ParseError(path, lines[i], f"duplicate term {keys[i].decode('utf-8')!r}")
+            if i is not None:  # kept lemma rows share the terms' key space
+                raise layout.duplicate_error(path, lines[i], keys[i].decode("utf-8"))
             if fault is not None:
                 raise fault
             n = len(keys)
@@ -550,6 +547,11 @@ def _read_blocks(path: Path, columns: int = 2) -> TermStatsTable | None:
         raise ParseError(path, 1, "missing #N=<doc_count> header")
     for col in cols:
         col.resize(rows, refcheck=False)
+    if min_count > 1:
+        keep = cols[0] >= min_count
+        ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
+        terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, np.diff(ends, prepend=-1))]
+        cols = [col[keep] for col in cols]
     if distinct.ascending:
         terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
     else:
@@ -566,10 +568,9 @@ def _first_line(data: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 def _parse_header(path: Path, line: bytes) -> int:
     """A stats table's doc_count from its ``#N=`` line; raises ParseError naming line 1."""
-    try:
-        header = line.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(path, 1, "not valid UTF-8") from None
+    header, fault = decode_lines(path, line)
+    if fault is not None:
+        raise fault
     if not header.startswith("#N="):
         raise ParseError(path, 1, "missing #N=<doc_count> header")
     count_text = header[3:]
@@ -584,13 +585,13 @@ def _parse_header(path: Path, line: bytes) -> int:
     return doc_count
 
 
-def _scan_block(data: np.ndarray, doc_count: int, columns: int):
+def _scan_block(data: np.ndarray, doc_count: int, columns: int, comments: bool):
     """Check and parse one block of whole lines with ``columns`` counts per row.
 
     Returns the block's term buffer, its count columns as int64 and its
     terms, or None if a line is blank, is not a valid row, or is one that
-    the scan does not parse: a count of more than 19 digits, or a list's
-    row that starts with ``#``.
+    the scan does not parse: a count of more than 19 digits, a lemma row,
+    or a row that starts with ``#`` where such a line is a comment.
     """
     ends = np.flatnonzero(data == _LF)
     tabs = np.flatnonzero(data == _TAB)
@@ -613,8 +614,8 @@ def _scan_block(data: np.ndarray, doc_count: int, columns: int):
     if columns == 2:
         df = counts[1]
         clean = (df >= 1).all() and (df <= tc).all() and (df <= doc_count).all()
-    else:  # a frequency list, whose line loop skips any line starting with '#'
-        clean = (tc >= 1).all() and not (data[starts] == _HASH).any()
+    else:  # a list's comment lines start with '#'
+        clean = (tc >= 1).all() and not (comments and (data[starts] == _HASH).any())
     if not (clean and (tc <= MAX_COUNT).all()):
         return None
     # Keep each term and the tab after it, then turn those tabs into newlines.
@@ -653,53 +654,26 @@ def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.nd
     return value
 
 
-def _parse_lines(path: Path, data: np.ndarray, line_no: int, doc_count: int):
-    """:func:`_scan_block`'s result for the rows before a table block's first
-    bad line, their line numbers, and that line's ParseError or None."""
-    rows: list[tuple[bytes, int, int]] = []
+def _parse_lines(path: Path, data: np.ndarray, line_no: int, layout: RowLayout,
+                 lemmas: set[str], keep_lemmatized: bool, doc_count: int):
+    """:func:`_scan_block`'s result for the rows before a block's first bad
+    line by :func:`ingest.parse_row` (lemma rows if ``keep_lemmatized``),
+    their line numbers, and that line's ParseError or None."""
+    text, fault = decode_lines(path, data, line_no)
+    rows: list[tuple[str, list[int], bool]] = []
     lines: list[int] = []
-    fault = None
-    for line_no, line in enumerate(data.tobytes().split(b"\n")[:-1], line_no + 1):
-        if not line:
-            continue
+    for line_no, line in enumerate(text.split("\n")[:-1], line_no + 1):
         try:
-            rows.append(_parse_row(path, line_no, line, doc_count))
+            row = parse_row(path, line_no, line, layout, lemmas, doc_count)
         except ParseError as exc:
             fault = exc
             break
-        lines.append(line_no)
-    keys = [row[0] for row in rows]
-    counts = [np.array([row[k] for row in rows], dtype=np.int64) for k in (1, 2)]
+        if row is not None and (keep_lemmatized or not row[2]):
+            rows.append(row)
+            lines.append(line_no)
+    keys = [term.encode("utf-8") for term, _, _ in rows]
+    counts = [np.array([row[1][k] for row in rows], dtype=np.int64) for k in range(len(layout.counts))]
     return b"".join(key + b"\n" for key in keys), counts, keys, lines, fault
-
-
-def _parse_row(path: Path, line_no: int, line: bytes, doc_count: int) -> tuple[bytes, int, int]:
-    """A table row's term as UTF-8, its tc and its df, with every check of
-    :func:`read_stats` in turn; raises ParseError naming ``line_no``."""
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(path, line_no, "not valid UTF-8") from None
-    parts = text.split("\t")
-    if len(parts) != 3:
-        raise ParseError(path, line_no, f"expected term<TAB>tc<TAB>df, got {len(parts)} fields")
-    term, tc_text, df_text = parts
-    if not term:
-        raise ParseError(path, line_no, "empty term")
-    for name, digits in (("tc", tc_text), ("df", df_text)):
-        if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(path, line_no, f"{name} is not a plain integer: {digits!r}")
-    try:
-        tc, df = int(tc_text), int(df_text)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(path, line_no, "a count has too many digits") from None
-    if tc > MAX_COUNT:
-        raise ParseError(path, line_no, "tc exceeds 2**63 - 1")
-    if not 1 <= df <= tc:
-        raise ParseError(path, line_no, f"need 1 <= df <= tc, got tc={tc} df={df}")
-    if df > doc_count:
-        raise ParseError(path, line_no, f"df={df} exceeds doc_count={doc_count}")
-    return line.split(b"\t", 1)[0], tc, df
 
 
 def read_stats_columns(path) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,16 +1,17 @@
-"""The block reader of stats tables and frequency lists against reference
-parsers, at several block sizes.
+"""The block reader of stats tables, frequency lists and n-gram files
+against reference parsers, at several block sizes.
 
-``read_stats`` reads every table layout in one pass, in blocks of whole
-lines, and names the first bad line in file order. ``read_frequency_table``
-reads a list of plain rows the same way and leaves any other list to the
-line loop of ``parse_frequency_list``. These tests shrink the block size so
+``read_stats``, ``read_frequency_table`` and ``read_ngram_table`` read
+every layout in one pass, in blocks of whole lines, and name the first bad
+line in file order, as the line loop of ``parse_frequency_list`` and
+``parse_ngram_counts`` does. These tests shrink the block size so
 that block boundaries fall inside rows, inside multi-byte characters,
 inside CRLF line ends and between out-of-order rows, and require the same
 table, or the same ``path:line: message``, at every size.
 """
 
 import io
+import json
 import os
 import re
 import threading
@@ -20,8 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusstats import ParseError, read_stats, stats
+from corpusstats import (
+    CorpusStatsError,
+    ParseError,
+    TermStatsTable,
+    frequency_of_frequencies,
+    parse_frequency_list,
+    parse_ngram_counts,
+    read_stats,
+    stats,
+)
 from corpusstats.cli import main
+from corpusstats.ingest import LIST_ROWS, NGRAM_ROWS
 
 MAX_COUNT = 2**63 - 1
 BLOCK_SIZES = [1, 7, 64, 2**20]
@@ -221,38 +232,51 @@ def test_a_count_of_more_than_19_digits_with_leading_zeros(table_dir, size):
     assert read_at(path, size) == (["a", "b"], [1, 2], [1, 1], 5)
 
 
-# Frequency lists: the same block scan with one count column, read into a
-# tc-only table. A list of ``term<TAB>count`` rows, each term once, with
-# ``#`` lines only at the top is read in blocks; any other list goes to
-# parse_frequency_list's line loop, with the same table or the same error.
+# Frequency lists and n-gram count files: the same block reader with one
+# count column, read into a tc-only table. Every layout is read in one
+# pass, with the rows and the errors of the line loop (parse_frequency_list,
+# parse_ngram_counts), which reads a file in order.
 
 
-def list_reference(data: bytes, keep_lemmatized: bool):
-    """Sorted terms and counts of a valid list, by the documented format."""
+def list_reference(data: bytes, keep_lemmatized: bool, ngram: bool = False, min_count: int = 0):
+    """Sorted terms and counts of a valid list or n-gram file, by the documented format."""
     rows = {}
     for line in re.split("\r\n|\r|\n", data.decode("utf-8")):
-        if not line or line.startswith("#"):
+        if not line or (line.startswith("#") and not ngram):
             continue
         term, count, *flag = line.split("\t")
         if flag and not keep_lemmatized:
             continue
         assert term not in rows
-        rows[term] = int(count)
+        if int(count) >= min_count:
+            rows[term] = int(count)
     terms = sorted(rows)
     return terms, [rows[t] for t in terms]
 
 
-def read_list_at(path, size, keep_lemmatized=False):
-    with block_size(size):
-        table = stats.read_frequency_table(path, keep_lemmatized)
+def list_columns(table):
     tc, df = table.count_arrays()
     assert df is None and table.doc_count == 0
     return table.terms(), tc.tolist()
 
 
-def list_blocks_at(path, size):
+def read_list_at(path, size, keep_lemmatized=False):
     with block_size(size):
-        return stats._read_blocks(path, columns=1)
+        return list_columns(stats.read_frequency_table(path, keep_lemmatized))
+
+
+def list_blocks_at(path, size, layout, **options):
+    with block_size(size):
+        return list_columns(stats._read_blocks(path, layout, **options))
+
+
+def line_loop(path, ngram, keep_lemmatized=False, min_count=0):
+    """The line loop's entries of a list or n-gram file, as a table's columns."""
+    if ngram:
+        entries = parse_ngram_counts(path, min_count)
+    else:
+        entries = parse_frequency_list(path, keep_lemmatized)
+    return list_columns(TermStatsTable.from_entries(entries))
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,35 +286,113 @@ def list_blocks_at(path, size):
     shuffle=st.randoms(use_true_random=False),
     unsorted=st.booleans(),
     eol=st.sampled_from(["\n", "\r\n", "\r"]),
-    leading=st.sampled_from(["", "# term<TAB>count\n", "#\n# two lines, café\n"]),
-    middle=st.sampled_from([None, "", "# a comment", "#x\t5"]),
+    ngram=st.booleans(),
     lemmas=st.booleans(),
     keep_lemmatized=st.booleans(),
+    min_count=st.sampled_from([0, 2, 10**18]),
     final_newline=st.booleans(),
 )
 def test_every_block_size_reads_the_reference_list(
-    table_dir, terms, data, shuffle, unsorted, eol, leading, middle, lemmas, keep_lemmatized,
+    table_dir, terms, data, shuffle, unsorted, eol, ngram, lemmas, keep_lemmatized, min_count,
     final_newline,
 ):
     rows = [f"{t}\t{data.draw(counts_st)}" for t in sorted(terms)]
     if unsorted:
         shuffle.shuffle(rows)
-    if lemmas:  # a lemma row of a term no surface row has
+    # '#x\t5' is a comment in a list and a row of an n-gram file
+    middle = data.draw(st.sampled_from([None, "", "#x\t5"] + ([] if ngram else ["# a comment"])))
+    leading = "" if ngram else data.draw(
+        st.sampled_from(["", "# term<TAB>count\n", "#\n# two lines, café\n"]))
+    if lemmas and not ngram:  # a lemma row of a term no surface row has
         rows.append(f"{'L' + (terms[0] if terms else '')}\t7\tL")
     if middle is not None and rows:  # after the first row: a line that is not at the top
         rows.insert(max(1, len(rows) // 2), middle)
     text = leading.replace("\n", eol) + eol.join(rows) + (eol if final_newline and rows else "")
     path = table_dir / "words.freq"
     path.write_bytes(text.encode("utf-8"))
-    want = list_reference(path.read_bytes(), keep_lemmatized)
-    # the layouts the block path reads: after the leading comments, term<TAB>count rows only
-    lines = re.sub("\r\n|\r", "\n", text)[len(leading):].split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    clean = all(line.count("\t") == 1 and not line.startswith("#") for line in lines)
+    if not ngram:
+        min_count = 0  # a list has no count filter
+    want = list_reference(path.read_bytes(), keep_lemmatized, ngram, min_count)
+    assert line_loop(path, ngram, keep_lemmatized, min_count) == want
+    layout = NGRAM_ROWS if ngram else LIST_ROWS
     for size in BLOCK_SIZES:
-        assert read_list_at(path, size, keep_lemmatized) == want, size
-        assert (list_blocks_at(path, size) is not None) == clean, size
+        if ngram:
+            with block_size(size):
+                assert list_columns(stats.read_ngram_table(path, min_count)) == want, size
+        else:
+            assert read_list_at(path, size, keep_lemmatized) == want, size
+        assert list_blocks_at(path, size, layout, keep_lemmatized=keep_lemmatized,
+                              min_count=min_count) == want, size
+
+
+# Lines of lists and n-gram files with every fault the line loop reports:
+# repeated terms (as surface and as lemma rows), bad counts and flags,
+# comments, blank lines and bytes that are not UTF-8.
+good_rows_st = st.builds(
+    "{}\t{}{}".format,
+    st.sampled_from(["a", "b", "#c", "d\xe9"]),
+    st.sampled_from(["1", "7", "300"]),
+    st.sampled_from(["", "\tL"]),
+)
+list_lines_st = st.one_of(
+    good_rows_st,
+    good_rows_st,
+    st.builds(
+        "{}\t{}{}".format,
+        st.sampled_from(["a", "", "e f"]),
+        st.sampled_from(["7", "0", "1.0", "", str(2**63)]),
+        st.sampled_from(["", "\tl", "\tL\t1"]),
+    ),
+    st.sampled_from(["", "# a comment", "x", "\udcff\t1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(list_lines_st, max_size=10),
+    ngram=st.booleans(),
+    keep_lemmatized=st.booleans(),
+    min_count=st.sampled_from([0, 7, 10**18]),
+    fmt=st.sampled_from(["tsv", "json"]),
+)
+def test_ffreq_writes_the_histogram_of_the_line_loop(table_dir, lines, ngram, keep_lemmatized,
+                                                     min_count, fmt):
+    # A lone surrogate stands for a byte that is not UTF-8. With
+    # --keep-lemmatized a term's surface row and lemma row both count.
+    path = table_dir / "ffreq.freq"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    if ngram:
+        entries = parse_ngram_counts(path, min_count)
+        args = ["ffreq", "--ngram", str(path), "--min-count", str(min_count)]
+    else:
+        entries = parse_frequency_list(path, keep_lemmatized)
+        args = ["ffreq", "--freq-list", str(path)] + (["--keep-lemmatized"] if keep_lemmatized else [])
+    try:
+        histogram = sorted(frequency_of_frequencies(entries).items())
+    except CorpusStatsError as exc:
+        want = (2, f"error: {exc}\n", None)
+    else:
+        if fmt == "json":
+            body = json.dumps({str(k): v for k, v in histogram}, sort_keys=True, indent=2) + "\n"
+        else:
+            body = "".join(f"{k}\t{v}\n" for k, v in histogram)
+        want = (0, "", body.encode("utf-8"))
+    out = table_dir / "ffreq.out"
+    for size in BLOCK_SIZES:
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with block_size(size), redirect_stderr(stderr):
+            code = main([*args, "--format", fmt, "--out", str(out)])
+        assert (code, stderr.getvalue(), out.read_bytes() if out.exists() else None) == want, size
+
+
+def test_ffreq_counts_a_terms_lemma_and_surface_rows_apart(table_dir):
+    # a table holds one row per term, so this stays on the line loop
+    path = table_dir / "lemma.freq"
+    path.write_text("a\t7\nb\t3\na\t7\tL\n", encoding="utf-8")
+    out = table_dir / "ffreq.out"
+    assert main(["ffreq", "--freq-list", str(path), "--keep-lemmatized", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "3\t1\n7\t2\n"
 
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)
@@ -385,15 +487,32 @@ def test_a_lemma_row_of_a_surface_term_is_a_duplicate_when_kept(table_dir):
     path.write_text("a\t5\nb\t3\na\t2\tL\nb\t1\n", encoding="utf-8")
     assert lexsig_error(path, table_dir) == (
         2, f"error: {path}:4: duplicate term 'b'; refusing to re-aggregate\n")
-    # kept, the lemma row of line 3 is a second 'a' before the line loop reaches line 4
+    # kept, the lemma row of line 3 is a second 'a' in the table, before line 4
     assert lexsig_error(path, table_dir, keep_lemmatized=True) == (
-        2, "error: duplicate term in entries: 'a'\n")
+        2, f"error: {path}:3: duplicate term 'a'; refusing to re-aggregate\n")
 
 
-def test_a_list_from_a_pipe_is_read_by_the_line_loop_alone(tmp_path):
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_the_first_bad_list_line_in_file_order_is_named(table_dir, size):
+    # a bad count on line 1 before a byte that is not UTF-8 on line 2
+    path = table_dir / "order.freq"
+    path.write_bytes(b"a\t1.0\nb\xff\t1\n")
+    message = f"{path}:1: count is not a plain integer: '1.0'"
+    with pytest.raises(ParseError) as err:
+        list(parse_frequency_list(path))
+    assert str(err.value) == message
+    with block_size(size):
+        assert lexsig_error(path, table_dir) == (2, f"error: {message}\n")
+        assert main(["ffreq", "--freq-list", str(path), "--out", str(table_dir / "o")]) == 2
+
+
+def test_a_list_from_a_pipe_is_read_in_one_pass(tmp_path):
+    # A pipe can be read only once: an unsorted CRLF list with a comment, a
+    # blank line and a lemma row after its first row is read by the block reader.
     fifo = tmp_path / "words.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=("# w\nb\t2\na\t1\n",), daemon=True)
+    text = "# w\r\nb\t2\r\n\r\n# more\r\nc\t5\tL\r\na\t1\r\n"
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
     writer.start()
     try:
         table = stats.read_frequency_table(fifo)

@@ -437,6 +437,23 @@ class TestBadFlagValues:
         assert list(out.iterdir()) == []
 
 
+class TestDocumentIds:
+    @pytest.mark.parametrize("command", ["lexsig", "compare-sig"])
+    def test_two_docs_with_one_stem_are_a_usage_error(self, command, tmp_path, capsys):
+        # A document's id is its file's stem, so one of the two would be lost
+        # or share its id. No input exists, so exit 1 (not 3) also shows that
+        # nothing was read first.
+        first, second = tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt"
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--doc", str(first), "--doc", str(tmp_path / "y.txt"), "--doc", str(second),
+                "--stats", str(tmp_path / "missing.stats"), "--out", str(out / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --doc {first} and --doc {second} have the same document id 'x'\n")
+        assert list(out.iterdir()) == []
+
+
 class TestReportFormats:
     @pytest.mark.parametrize("argv", [
         ["rank", "--overlap", "1", "2"],

@@ -195,6 +195,21 @@ def test_directory_faults_report_as_serial_for_every_jobs(tmp_path, capsys):
     assert reports == [(2, f"error: {tmp_path / 'd2.txt'}:1: not valid UTF-8\n")] * len(JOBS)
 
 
+@pytest.mark.parametrize("block", [None, 4])
+def test_a_bad_separator_before_a_bad_byte_is_named_for_every_jobs(block, tmp_path, capsys):
+    # line 1 is the first bad line, although the byte on line 2 does not decode
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"%%DOC%%x\nb\xff\n")
+    with shard_limits(block=block):
+        reports = []
+        for jobs in JOBS:
+            code = main(["count", "--corpus", str(path), "--out", str(tmp_path / "x"),
+                         "--jobs", str(jobs)])
+            reports.append((code, capsys.readouterr().err))
+    message = f"error: {path}:1: malformed document separator: '%%DOC%%x'\n"
+    assert reports == [(2, message)] * len(JOBS)
+
+
 def test_separator_spanning_lines_reads_one_document(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a\nb\na\nb\n", encoding="utf-8")

@@ -14,6 +14,7 @@ from corpusstats import (
     BackgroundModel,
     DfMode,
     Document,
+    ParseError,
     TermStatsTable,
     ValidationError,
     compare_signatures,
@@ -317,7 +318,7 @@ def expected(reference):
     """What the CLI prints for ``reference()``: (exit code, stdout file text, stderr)."""
     try:
         return 0, reference(), ""
-    except ValidationError as exc:
+    except (ParseError, ValidationError) as exc:
         return 2, None, f"error: {exc}\n"
 
 
@@ -395,11 +396,11 @@ def test_cli_signatures_match_the_dict_model(view_dir, background, data, tc_as_d
 
     def freq_list_signatures():
         list_tc = {}
-        for term, count, lemma in list_rows:
+        for line, (term, count, lemma) in enumerate(list_rows, 2):  # after the comment line
             if lemma and not keep_lemmatized:
                 continue
-            if term in list_tc:
-                raise ValidationError(f"duplicate term in entries: {term!r}")
+            if term in list_tc:  # kept, a lemma row of a term with a surface row
+                raise ParseError(list_path, line, f"duplicate term {term!r}; refusing to re-aggregate")
             list_tc[term] = count
         return signatures(DictModel(list_tc, {}, n, DfMode.TC_AS_DF))
 
