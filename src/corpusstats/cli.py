@@ -144,14 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ffreq", help="frequency-of-frequencies for one input")
     p.set_defaults(handler=_cmd_ffreq)
-    p.add_argument("--stats", type=Path, dest="stats_path")
-    p.add_argument("--freq-list", type=Path, dest="freq_list")
-    p.add_argument("--ngram", type=Path)
+    p.add_argument("--stats", type=Path, dest="stats_path", help="input: a stats table")
+    p.add_argument("--freq-list", type=Path, dest="freq_list", help="input: a frequency list")
+    p.add_argument("--ngram", type=Path, help="input: an n-gram count file")
     p.add_argument("--which", choices=["tc", "df"], default="tc",
-                   help="which stats column to histogram (stats input only)")
-    p.add_argument("--min-count", type=_above(-1), default=0, dest="min_count",
-                   help="drop n-gram rows below this count")
-    p.add_argument("--keep-lemmatized", action="store_true", dest="keep_lemmatized")
+                   help="which column to histogram (df: --stats input only)")
+    p.add_argument("--min-count", type=_above(-1), dest="min_count",
+                   help="drop rows below this count (--ngram input only)")
+    p.add_argument("--keep-lemmatized", action="store_true", dest="keep_lemmatized",
+                   help="count lemma rows too (--freq-list input only)")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
@@ -301,11 +302,15 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
     else:
         x = ranking.rank_values(tc)
         y = ranking.rank_values(df)
+    del tc, df  # each n-row array is held only while a later step reads it
     report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic)
     points = None
     if args.curve_out is not None:
         order = np.lexsort((y, x))
-        points = correlation.prefix_correlation_curve(x[order], y[order], args.checkpoints)
+        x = x[order]
+        y = y[order]
+        del order
+        points = correlation.prefix_correlation_curve(x, y, args.checkpoints)
     _write_report(_report_rows(report), args.out, args.format)
     if points is not None:
         correlation.write_curve(points, args.curve_out)
@@ -333,12 +338,16 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
     if len(given) != 1:
         raise UsageError("choose exactly one of --stats, --freq-list, --ngram")
     flag, path = given[0]
+    if args.which != "tc" and flag != "--stats":
+        raise UsageError(f"--which df needs a stats table, not {flag}")
+    if args.min_count is not None and flag != "--ngram":
+        raise UsageError(f"--min-count applies to --ngram input, not {flag}")
+    if args.keep_lemmatized and flag != "--freq-list":
+        raise UsageError(f"--keep-lemmatized applies to --freq-list input, not {flag}")
     if flag == "--stats":
         source = stats.read_stats(path)
-    elif args.which != "tc":
-        raise UsageError(f"--which df needs a stats table, not {flag}")
     elif flag == "--ngram":
-        source = stats.read_ngram_table(path, args.min_count)
+        source = stats.read_ngram_table(path, args.min_count or 0)
     elif args.keep_lemmatized:
         # a table holds one row per term: this counts a term's lemma and surface rows apart
         source = parse_frequency_list(path, keep_lemmatized=True)

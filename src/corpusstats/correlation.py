@@ -232,7 +232,10 @@ def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
     """
     if n_x > n_y:
         x_code, y_code, n_x, n_y = y_code, x_code, n_y, n_x
-    hist = np.bincount(x_code * n_y + y_code, minlength=n_x * n_y).reshape(n_x, n_y)
+    key = x_code * n_y
+    key += y_code
+    hist = np.bincount(key, minlength=n_x * n_y).reshape(n_x, n_y)
+    del key  # n cells, freed before the walk
     tie_xy = (int(np.vdot(hist, hist)) - x_code.size) // 2  # the sum of h*(h-1)/2 over cells
     disc = 0
     at_most = np.zeros(n_y, dtype=np.int64)  # points of earlier groups with y code <= b

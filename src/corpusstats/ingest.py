@@ -28,6 +28,10 @@ DEFAULT_SEPARATOR = "%%DOC%%"
 
 _STREAM_BLOCK = 1 << 18  # bytes a stream reader or the list line loop reads at a time
 
+#: The UTF-8 byte-order mark. Every reader skips one at the start of a file,
+#: and only there: anywhere else it is text.
+UTF8_BOM = b"\xef\xbb\xbf"
+
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -76,8 +80,9 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
 
 
 def read_utf8(path) -> str:
-    """The text of the file at ``path``; a byte that is not UTF-8 raises ParseError naming its line."""
-    text, fault = decode_lines(path, Path(path).read_bytes())
+    """The text of the file at ``path``, after a byte-order mark; a byte that is
+    not UTF-8 raises ParseError naming its line."""
+    text, fault = decode_lines(path, Path(path).read_bytes().removeprefix(UTF8_BOM))
     if fault is not None:
         raise fault
     return text
@@ -88,7 +93,7 @@ def read_lines(path) -> Iterator[str]:
     a byte that is not UTF-8 raises ParseError once the lines before it are yielded."""
     line_no = 0
     with open(path, "rb") as fh:
-        for block in line_blocks(fh, _STREAM_BLOCK):
+        for block in line_blocks(fh, _STREAM_BLOCK, skip_bom=True):
             text, fault = decode_lines(path, block, line_no)
             yield from text.split("\n")[:-1]
             if fault is not None:
@@ -321,7 +326,9 @@ class StreamShard:
         try:
             with open(self.path, "rb") as fh:
                 fh.seek(self.start)
-                for block in line_blocks(fh, _STREAM_BLOCK, self.end - self.start):
+                # a shard that starts past the file's start keeps a mark there as text
+                for block in line_blocks(fh, _STREAM_BLOCK, self.end - self.start,
+                                         skip_bom=self.start == 0):
                     yield str(block, "utf-8")
                 if fh.tell() < self.end:
                     raise ShardFault(f"{self.path} is shorter than when it was cut")
@@ -329,19 +336,30 @@ class StreamShard:
             raise ShardFault(self.path) from None
 
 
-def line_blocks(fh, size: int, limit: int | None = None) -> Iterator[memoryview | bytes]:
+def line_blocks(fh, size: int, limit: int | None = None,
+                skip_bom: bool = False) -> Iterator[memoryview | bytes]:
     """The binary file ``fh`` from where it stands, in blocks of whole lines ended by LF.
 
-    Reads to the end of the file, or ``limit`` bytes. ``\\r\\n`` and a lone
-    ``\\r`` become ``\\n``, and a last line without a line end gets one. The
-    bytes are read into one reused buffer of ``size`` bytes, which a line
-    longer than it doubles, so a block holds only until the next is read.
+    Reads to the end of the file, or ``limit`` bytes; with ``skip_bom``, for
+    a file read from its start, a leading :data:`UTF8_BOM` is dropped.
+    ``\\r\\n`` and a lone ``\\r`` become ``\\n``, and a last line without a
+    line end gets one. The bytes are read into one reused buffer of
+    ``size`` bytes, which a line longer than it doubles, so a block holds
+    only until the next is read.
     Line ends are bytes below 0x80, which no multi-byte UTF-8 sequence
     contains, so each block decodes on its own.
     """
-    buf = bytearray(size)
+    head = b""
+    if skip_bom:
+        head = fh.read(len(UTF8_BOM) if limit is None else min(len(UTF8_BOM), limit))
+        if limit is not None:
+            limit -= len(head)
+        if head == UTF8_BOM:
+            head = b""
+    kept = len(head)  # bytes of an unfinished line at the front of buf
+    buf = bytearray(kept + size)
+    buf[:kept] = head
     view = memoryview(buf)
-    kept = 0  # bytes of an unfinished line at the front of buf
     while True:
         room = len(buf) - kept
         got = fh.readinto(view[kept:kept + (room if limit is None else min(room, limit))])

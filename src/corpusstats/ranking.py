@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import write_utf8
-from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable, iter_rows
+from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable
 
 
 class RankedList:
@@ -58,20 +58,24 @@ class OverlapCounts(NamedTuple):
 
 
 def _as_vector(values, name: str) -> np.ndarray:
-    """A one-dimensional float64 or int64 copy of ``values``, validated."""
+    """``values`` as a one-dimensional float64 or int64 array, validated.
+
+    The result is ``values`` itself when it already is such an array, so
+    callers only read it.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
     if arr.dtype.kind == "f":
         if arr.size and not np.isfinite(arr).all():
             raise ValidationError(f"{name} contains non-finite values")
-        return arr.astype(np.float64)
+        return arr.astype(np.float64, copy=False)
     if arr.size and arr.dtype.kind == "u" and int(arr.max()) > 2**63 - 1:
         raise ValidationError(f"{name} exceeds the int64 limit")
     if arr.dtype.kind not in "iuO":
         raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
     try:
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     except (OverflowError, TypeError, ValueError):
         raise ValidationError(f"{name} must hold integers within int64 range") from None
 
@@ -237,6 +241,8 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     scatter plot of the two rankings needs.
     """
     order = np.lexsort((aligned.df_ranks, aligned.tc_ranks))
-    rows = iter_rows(aligned.tc_ranks[order], aligned.df_ranks[order])
     with write_utf8(path) as fh:
-        fh.writelines(f"{tc_rank}\t{df_rank}\n" for tc_rank, df_rank in rows)
+        for lo in range(0, order.size, _ROWS_PER_CHUNK):
+            rows = order[lo:lo + _ROWS_PER_CHUNK]  # gathered a chunk at a time, not sorted whole
+            pairs = zip(aligned.tc_ranks[rows].tolist(), aligned.df_ranks[rows].tolist())
+            fh.writelines(f"{tc_rank}\t{df_rank}\n" for tc_rank, df_rank in pairs)

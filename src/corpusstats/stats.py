@@ -431,17 +431,6 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
     return dict(histogram)
 
 
-def iter_rows(*columns) -> Iterator[tuple]:
-    """Aligned rows of ``columns`` (lists or numpy arrays) as tuples of Python values.
-
-    Arrays are converted with ``tolist`` one chunk of rows at a time, so the
-    Python ints of a whole column never exist at once.
-    """
-    for lo in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-        chunk = [column[lo:lo + _ROWS_PER_CHUNK] for column in columns]
-        yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
-
-
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
     tc, df = table.tc_df_arrays()
@@ -502,7 +491,7 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
         line_no = 0  # lines before the block
         lemmas: set[str] = set()  # the terms of a list's lemma rows
         distinct = _Distinct(lambda: bytes(terms).split(b"\n")[:-1])
-        for block in line_blocks(fh, _BLOCK_SIZE):
+        for block in line_blocks(fh, _BLOCK_SIZE, skip_bom=True):
             data = np.frombuffer(block, dtype=np.uint8)
             if doc_count is None:
                 header, data = _first_line(data)

@@ -32,7 +32,7 @@ from corpusstats import (
     stats,
 )
 from corpusstats.cli import main
-from corpusstats.ingest import LIST_ROWS, NGRAM_ROWS
+from corpusstats.ingest import LIST_ROWS, NGRAM_ROWS, UTF8_BOM
 
 MAX_COUNT = 2**63 - 1
 BLOCK_SIZES = [1, 7, 64, 2**20]
@@ -117,9 +117,10 @@ def table_dir(tmp_path_factory):
     eol=st.sampled_from(["\n", "\r\n", "\r"]),
     blank=st.booleans(),
     final_newline=st.booleans(),
+    bom=st.booleans(),
 )
 def test_every_block_size_reads_the_reference_table(
-    table_dir, table, shuffle, unsorted, eol, blank, final_newline
+    table_dir, table, shuffle, unsorted, eol, blank, final_newline, bom
 ):
     doc_count, rows = table
     if unsorted:
@@ -129,8 +130,8 @@ def test_every_block_size_reads_the_reference_table(
         lines.insert(len(lines) // 2 + 1, "")
     text = eol.join(lines) + (eol if final_newline else "")
     path = table_dir / "table.stats"
-    path.write_bytes(text.encode("utf-8"))
-    want = reference(path.read_bytes())
+    path.write_bytes((UTF8_BOM if bom else b"") + text.encode("utf-8"))
+    want = reference(text.encode("utf-8"))
     for size in BLOCK_SIZES:
         assert read_at(path, size) == want, size
         assert blocks_at(path, size) == want, size

@@ -12,6 +12,7 @@ import pytest
 import corpusstats
 from corpusstats import ranking, ratio, read_stats
 from corpusstats.cli import main
+from corpusstats.ingest import UTF8_BOM
 from conftest import SONG_TITLES
 
 
@@ -301,6 +302,31 @@ class TestFfreq:
                      "--out", str(tmp_path / "o.tsv")]) == 1
         assert main(["ffreq", "--out", str(tmp_path / "o.tsv")]) == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--stats", "{missing}", "--min-count", "3"], "--min-count"),
+        (["--stats", "{missing}", "--min-count", "0"], "--min-count"),
+        (["--freq-list", "{missing}", "--min-count", "3"], "--min-count"),
+        (["--stats", "{missing}", "--keep-lemmatized"], "--keep-lemmatized"),
+        (["--ngram", "{missing}", "--keep-lemmatized"], "--keep-lemmatized"),
+    ], ids=["min_count_stats", "min_count_zero_stats", "min_count_freq_list",
+            "keep_lemmatized_stats", "keep_lemmatized_ngram"])
+    def test_a_flag_of_another_input_is_a_usage_error_before_reading(self, argv, flag, tmp_path,
+                                                                     capsys):
+        # the input does not exist, so exit 1 (not 3) shows that nothing was read first
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        capsys.readouterr()
+        assert main(["ffreq", *argv, "--out", str(tmp_path / "o.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_min_count_zero_keeps_every_ngram_row(self, tmp_path):
+        ngrams = tmp_path / "ngrams.tsv"
+        ngrams.write_text("a\t1\nb\t3\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        run_ok(["ffreq", "--ngram", str(ngrams), "--min-count", "0", "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == "1\t1\n3\t1\n"
+
 
 class TestLexsig:
     def test_signature_from_stats(self, song_stats_file, tmp_path):
@@ -570,6 +596,9 @@ ACCEPTED_SHAPES = {
     "no_final_newline": ("#N=5\n" + "\n".join(CLEAN_ROWS), CLEAN_TABLE),
     "header_only": ("#N=5", "#N=5\n"),
     "unsorted": ("#N=5\n" + "".join(row + "\n" for row in reversed(CLEAN_ROWS)), CLEAN_TABLE),
+    "byte_order_mark": ("\ufeff" + CLEAN_TABLE, CLEAN_TABLE),
+    "byte_order_mark_crlf": ("\ufeff#N=5\r\n" + "".join(row + "\r\n" for row in CLEAN_ROWS),
+                             CLEAN_TABLE),
     "duplicate_after_unsorted": ("#N=5\nb\t1\t1\na\t1\t1\n\nc\t1\t1\nb\t2\t1\n", None),
 }
 
@@ -627,6 +656,64 @@ class TestUndecodableInput:
         assert main([str(arg) for arg in make_argv(bad, tmp_path) + ["--out", out / "o"]]) == 2
         assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(UTF8_READERS))
+    def test_a_byte_order_mark_keeps_the_line_number(self, case, tmp_path, capsys):
+        name, make_argv = UTF8_READERS[case]
+        bad = tmp_path / name
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(UTF8_BOM + UNDECODABLE)
+        (tmp_path / "good.stats").write_text("#N=5\na\t2\t1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([str(arg) for arg in make_argv(bad, tmp_path) + ["--out", tmp_path / "o"]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8\n"
+
+
+# Each reader of a file, with the file's name and contents. A UTF-8
+# byte-order mark before the contents must change nothing the reader
+# gives. Each file's first line reads differently with the mark in it: a
+# comment or a blank line becomes a bad row, and a word another term. The
+# table reader is covered for every subcommand above.
+BOM_READERS = {
+    "freq_list": ("list.tsv", "# c\nthe\t3\nx\t1\n",
+                  lambda path: ["ffreq", "--freq-list", path]),
+    "freq_list_lemmas": ("list.tsv", "# c\nthe\t3\tL\nthe\t2\nx\t1\n",
+                         lambda path: ["ffreq", "--freq-list", path, "--keep-lemmatized"]),
+    "ngram": ("ngrams.tsv", "\nthe cat\t3\nx y\t1\n", lambda path: ["ffreq", "--ngram", path]),
+    "lexsig_freq_list": ("list.tsv", "the\t3\nx\t1\n",
+                         lambda path: ["lexsig", "--freq-list", path, "--n-hat", "5",
+                                       "--doc", path.parent / "d.txt"]),
+    "count_stream_jobs1": ("stream.txt", "the cat\n%%DOC%%\nthe\n",
+                           lambda path: ["count", "--corpus", path, "--jobs", "1"]),
+    "count_stream_jobs2": ("stream.txt", "the cat\n%%DOC%%\nthe\n",
+                           lambda path: ["count", "--corpus", path, "--jobs", "2"]),
+    "count_directory": ("corpus/a.txt", "the cat\n",
+                        lambda path: ["count", "--corpus", path.parent, "--jobs", "2"]),
+    "lexsig_doc": ("a.txt", "the cat the\n",
+                   lambda path: ["lexsig", "--doc", path, "--stats", path.parent / "t.stats"]),
+}
+
+
+class TestByteOrderMark:
+    def run(self, case, bom, tmp_path, capsys):
+        """Exit code, stderr and output bytes of one reader, on its file with or without a mark."""
+        name, text, make_argv = BOM_READERS[case]
+        base = tmp_path / ("bom" if bom else "plain")
+        path = base / name
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bom + text.encode("utf-8"))
+        (base / "d.txt").write_text("the x y\n", encoding="utf-8")
+        (base / "t.stats").write_text("#N=5\nthe\t4\t2\ncat\t1\t1\n", encoding="utf-8")
+        (path.parent / "b.txt").write_text("the\n", encoding="utf-8")  # a directory's second shard
+        capsys.readouterr()
+        code = main([str(arg) for arg in make_argv(path) + ["--out", base / "out"]])
+        return code, capsys.readouterr().err, (base / "out").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(BOM_READERS))
+    def test_is_skipped_at_the_start_of_a_file(self, case, tmp_path, capsys):
+        got = self.run(case, UTF8_BOM, tmp_path, capsys)
+        assert got == self.run(case, b"", tmp_path, capsys)
+        assert got[0] == 0 and "\ufeff".encode("utf-8") not in got[2]
 
 
 class TestDeterminism:

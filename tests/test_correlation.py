@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from corpusstats import (
@@ -518,3 +520,52 @@ class TestCorrelationReport:
         assert report.spearman_rho_shortcut == spearman_rho_shortcut(
             SONG_TC_RANKS, SONG_DF_RANKS
         )
+
+
+# Every function that takes value vectors, called with (x, y). The vectors
+# may come back from _as_vector uncopied, so none of them may write into its input.
+READ_ONLY_CALLS = {
+    "rank_values": lambda x, y: rank_values(x),
+    "fractional_rank": lambda x, y: fractional_rank(x),
+    "spearman_rho": spearman_rho,
+    "spearman_rho_shortcut": spearman_rho_shortcut,
+    "kendall_tau_fast": kendall_tau_fast,
+    "kendall_tau_naive": kendall_tau_naive,
+    "prefix_correlation_curve": lambda x, y: prefix_correlation_curve(
+        x, y, sorted({2, len(x) // 2, len(x)} - {0, 1})),
+    "correlation_report": lambda x, y: correlation_report(x, y, diagnostic_shortcut=True),
+    "rho_significance": lambda x, y: rho_significance(0.5, len(x), "exact", ranks=(x, y)),
+}
+
+
+def outcome(call, x, y):
+    """What ``call`` returns, as comparable values, or the error it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # degenerate curve prefixes
+            result = call(x, y)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.tolist()
+    return result
+
+
+def read_only(values, dtype):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False  # a write raises ValueError
+    return arr
+
+
+class TestInputsAreOnlyRead:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=8),
+           dtype=st.sampled_from([np.int64, np.float64]))
+    def test_read_only_arrays_give_what_lists_and_int32_copies_give(self, pairs, dtype):
+        xs, ys = (list(column) for column in zip(*pairs))
+        x, y = read_only(xs, dtype), read_only(ys, dtype)
+        for name, call in READ_ONLY_CALLS.items():
+            got = outcome(call, x, y)
+            assert got == outcome(call, x.tolist(), y.tolist()), name
+            if dtype is np.int64:
+                assert got == outcome(call, x.astype(np.int32), y.astype(np.int32)), name

@@ -313,3 +313,23 @@ def test_stream_shard_tokens_match_read_corpus(tmp_path):
             got = [tokens for shard in corpus_shards(path, parts=3) for tokens in shard.token_lists(cfg)]
         assert got == want == [["α", "σας"], [], ["long", "long", "day"]]
     assert all(isinstance(s, StreamShard) for s in corpus_shards(path, parts=3))
+
+
+def test_only_a_byte_order_mark_at_the_start_of_a_stream_is_skipped(tmp_path):
+    # One mark at offset 0, and one that starts the document after a
+    # separator line, where a shard may start: that one is text for every N.
+    body = "The cat\n%%DOC%%\n\ufeffthe dog\r\n%%DOC%%\nthe\n".encode("utf-8")
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(body)
+    marked.write_bytes(ingest.UTF8_BOM + body)
+    want = count_bytes(plain, tmp_path, 1)
+    assert want == "#N=3\ncat\t1\t1\ndog\t1\t1\nthe\t2\t2\n\ufeffthe\t1\t1\n".encode("utf-8")
+    assert reference_bytes(marked, tmp_path) == want
+    for block in (1, 2, 1 << 20):
+        with shard_limits(block=block):
+            for parts in range(1, 5):  # shards that start at each separator line
+                shards = corpus_shards(marked, parts=parts)
+                got = [tokens for shard in shards for tokens in shard.token_lists(TokenizerConfig())]
+                assert got == [["the", "cat"], ["\ufeffthe", "dog"], ["the"]], (block, parts)
+            for jobs in JOBS:
+                assert count_bytes(marked, tmp_path, jobs) == want, (block, jobs)
