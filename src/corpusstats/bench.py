@@ -34,14 +34,19 @@ def generate_pairs(n: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     y follows x plus noise, so the sample is positively correlated with
     tie groups in both coordinates, which keeps every branch of the
     kernels busy. Seeding with [seed, n] makes each size its own stream:
-    growing n does not merely extend the smaller sample.
+    growing n does not merely extend the smaller sample. Neither vector is
+    entirely tied, so tau-b is defined for every n and seed: a small
+    sample that draws one value n times gets its first value raised by 1.
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     rng = np.random.default_rng([seed, n])
     x = rng.integers(0, max(2, n // 2), size=n, dtype=np.int64)
     noise = rng.integers(0, max(2, n // 8), size=n, dtype=np.int64)
-    return x, x + noise
+    x[0] += np.all(x == x[0])
+    y = x + noise
+    y[0] += np.all(y == y[0])
+    return x, y
 
 
 @dataclass(frozen=True)

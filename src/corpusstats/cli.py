@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,8 @@ def _comma_ints(text: str) -> list[int]:
 
 
 def _sample_sizes(text: str) -> list[int]:
-    """argparse type for ``bench --sizes``: at least one size, ascending, each >= 2."""
+    """argparse type for ``bench --sizes`` and ``correlate --checkpoints``:
+    at least one size, ascending, each >= 2."""
     values = _comma_ints(text)
     if not values or values[0] < 2:
         raise argparse.ArgumentTypeError(f"expects sample sizes >= 2, got {text!r}")
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the tie-naive 6*sum(d^2) Spearman shortcut")
     p.add_argument("--curve-out", type=Path, dest="curve_out",
                    help="also write a prefix-correlation curve here")
-    p.add_argument("--checkpoints", type=_comma_ints, default="",
+    p.add_argument("--checkpoints", type=_sample_sizes, default=[],
                    help="comma-separated prefix sizes for --curve-out")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
@@ -295,6 +297,8 @@ def _report_rows(report: correlation.CorrelationReport) -> list[tuple[str, objec
 def _cmd_correlate(args: argparse.Namespace) -> None:
     if bool(args.checkpoints) != (args.curve_out is not None):
         raise UsageError("--curve-out and --checkpoints go together")
+    if args.curve_out is not None and os.path.realpath(args.out) == os.path.realpath(args.curve_out):
+        raise UsageError("--out and --curve-out name the same file")
     tc, df, _ = stats.read_stats_columns(args.stats_path)
     if args.fractional:
         x = ranking.fractional_rank(tc)
@@ -310,7 +314,11 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
         x = x[order]
         y = y[order]
         del order
-        points = correlation.prefix_correlation_curve(x, y, args.checkpoints)
+        with warnings.catch_warnings(record=True) as skipped:  # degenerate prefixes
+            warnings.simplefilter("always")
+            points = correlation.prefix_correlation_curve(x, y, args.checkpoints)
+        for warning in skipped:
+            print(f"warning: {warning.message}", file=sys.stderr)
     _write_report(_report_rows(report), args.out, args.format)
     if points is not None:
         correlation.write_curve(points, args.curve_out)

@@ -8,6 +8,7 @@ distinct sources can be parsed concurrently.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import stat
@@ -211,58 +212,16 @@ def read_corpus(
     read in sorted name order, id = file stem) or a single text file whose
     documents are delimited by lines equal to ``separator`` (ids doc000001,
     doc000002, ... in stream order). Empty documents are legal and are
-    yielded like any other. A missing or unreadable source raises the
-    underlying OSError naming the path.
+    yielded like any other. The documents are those of the corpus read as
+    one shard (:func:`corpus_shards`), and a bad line raises as that shard's
+    reader does. A missing or unreadable source raises the underlying
+    OSError naming the path.
     """
-    path = Path(source)
     cfg = config or TokenizerConfig()
-    if path.is_dir():
-        yield from _read_directory(path, cfg)
-    elif path.is_file():
-        yield from _read_stream(path, cfg, separator)
-    else:
-        raise FileNotFoundError(f"corpus source does not exist: {path}")
-
-
-def _corpus_files(path: Path) -> list[Path]:
-    """The documents of a directory corpus, in reading order."""
-    return [file for file in sorted(path.glob("*.txt")) if file.is_file()]
-
-
-def _read_directory(path: Path, cfg: TokenizerConfig) -> Iterator[Document]:
-    for file in _corpus_files(path):
-        yield Document(file.stem, tokenize(read_utf8(file), cfg))
-
-
-def _read_stream(path: Path, cfg: TokenizerConfig, separator: str) -> Iterator[Document]:
-    if not separator:
-        raise ValidationError("document separator must be non-empty")
-    index = 0
-    segment = None  # the lines of the document being read; None before its first line
-    for line_no, line in enumerate(read_lines(path), 1):
-        if line == separator:
-            index += 1
-            yield _stream_doc(index, segment or [], cfg)
-            segment = None
-        elif line.startswith(separator):
-            raise ParseError(path, line_no, f"malformed document separator: {line!r}")
-        elif segment is None:
-            segment = [line]
-        else:
-            segment.append(line)
-    if segment is not None:  # the lines after the last separator
-        yield _stream_doc(index + 1, segment, cfg)
-
-
-def _stream_doc(index: int, lines: list[str], cfg: TokenizerConfig) -> Document:
-    return Document(f"doc{index:06d}", tokenize("\n".join(lines), cfg))
-
-
-class ShardFault(Exception):
-    """A stream shard holds what only :func:`read_corpus` reads or reports
-    exactly: bytes that are not UTF-8 (reported with their line number), a
-    line that starts with the separator but is longer, an unreadable or
-    shrunken file, or a separator that spans lines."""
+    for shard in corpus_shards(source, separator):  # one, or none for an empty directory
+        ids = ([file.stem for file in shard.files] if isinstance(shard, FileShard)
+               else map("doc{:06d}".format, itertools.count(1)))
+        yield from map(Document, ids, shard.token_lists(cfg))
 
 
 @dataclass(frozen=True)
@@ -272,7 +231,8 @@ class FileShard:
     files: tuple[Path, ...]
 
     def token_lists(self, config: TokenizerConfig) -> Iterator[list[str]]:
-        """The tokens of each document, in corpus order; raises as :func:`read_corpus` does."""
+        """The tokens of each document, in corpus order; a byte that is not
+        UTF-8 raises ParseError naming its file and line."""
         for file in self.files:
             yield tokenize(read_utf8(file), config)
 
@@ -292,48 +252,56 @@ class StreamShard:
     separator: str
 
     def token_lists(self, config: TokenizerConfig) -> Iterator[list[str]]:
-        """The tokens of each document, in corpus order; raises ShardFault.
+        """The tokens of each document, in corpus order.
 
-        Documents are split as :func:`read_corpus` splits them, with
-        ``\\r\\n`` and a lone ``\\r`` read as ``\\n``. The text after the
-        last separator line of a block waits in ``pieces`` for the next one.
+        A line equal to the separator ends a document, and the lines after
+        the last one are a document (none is not). ``\\r\\n`` and a lone
+        ``\\r`` are read as ``\\n``, so a separator that holds a line break
+        matches no line. A line that starts with the separator but is
+        longer, or a byte that is not UTF-8, raises ParseError naming its
+        line once the documents before it are yielded; the text before a
+        bad byte is split first, so the first bad line wins. The text after
+        the last separator line of a block waits in ``pieces`` for the next.
         """
-        if "\n" in self.separator or "\r" in self.separator:
-            raise ShardFault(f"separator {self.separator!r} spans lines")  # no line can equal it
-        marker = "\n" + self.separator
+        marker = None if "\n" in self.separator or "\r" in self.separator else "\n" + self.separator
         pieces: list[str] = []  # the text of the unfinished document
-        for text in self._line_blocks():
-            text = "\n" + text  # every line, the first one too, follows a newline
-            start = 0
-            pos = text.find(marker)
-            while pos >= 0:
-                end = pos + len(marker)
-                if end < len(text) and text[end] != "\n":
-                    raise ShardFault(f"a line starts with {self.separator!r} but is longer")
-                pieces.append(text[start:pos])
-                yield tokenize("".join(pieces), config)
-                pieces = []
-                start = end + 1
-                pos = text.find(marker, end)
-            if start < len(text):
-                pieces.append(text[start:])
-        # The lines after the last separator are a document; none is not.
+        lines = 0  # the lines of the shard before the block
+        with open(self.path, "rb") as fh:
+            fh.seek(self.start)
+            # a shard that starts past the file's start keeps a mark there as text
+            for block in line_blocks(fh, _STREAM_BLOCK, self.end - self.start,
+                                     skip_bom=self.start == 0):
+                text, fault = decode_lines(self.path, block, lines)
+                text = "\n" + text  # every line, the first one too, follows a newline
+                start = 0
+                pos = text.find(marker) if marker else -1
+                while pos >= 0:
+                    end = pos + len(marker)
+                    if text[end] != "\n":
+                        line = text[pos + 1:text.index("\n", end)]
+                        raise self._fault(lines + text.count("\n", 0, pos + 1),
+                                          f"malformed document separator: {line!r}")
+                    pieces.append(text[start:pos])
+                    yield tokenize("".join(pieces), config)
+                    pieces = []
+                    start = end + 1
+                    pos = text.find(marker, end)
+                if start < len(text):
+                    pieces.append(text[start:])
+                if fault is not None:
+                    raise self._fault(fault.line_no, fault.message)
+                lines += text.count("\n") - 1
+            if fh.tell() < self.end:
+                raise OSError(f"{self.path} is shorter than when it was cut into shards")
         if pieces:
             yield tokenize("".join(pieces), config)
 
-    def _line_blocks(self) -> Iterator[str]:
-        """The shard's text in blocks of whole lines (:func:`line_blocks`)."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self.start)
-                # a shard that starts past the file's start keeps a mark there as text
-                for block in line_blocks(fh, _STREAM_BLOCK, self.end - self.start,
-                                         skip_bom=self.start == 0):
-                    yield str(block, "utf-8")
-                if fh.tell() < self.end:
-                    raise ShardFault(f"{self.path} is shorter than when it was cut")
-        except (OSError, UnicodeDecodeError):
-            raise ShardFault(self.path) from None
+    def _fault(self, line_no: int, message: str) -> ParseError:
+        """A ParseError for line ``line_no`` of the shard, named by its line in the file."""
+        with open(self.path, "rb") as fh:
+            before = sum(bytes(block).count(b"\n")
+                         for block in line_blocks(fh, _STREAM_BLOCK, self.start))
+        return ParseError(self.path, before + line_no, message)
 
 
 def line_blocks(fh, size: int, limit: int | None = None,
@@ -398,12 +366,12 @@ def corpus_shards(source, separator: str = DEFAULT_SEPARATOR,
     files, a stream file :class:`StreamShard` byte ranges, each starting
     just after a separator line with an LF or CRLF end found by scanning
     forward from ``size * k / parts``. An empty directory gives none.
-    Raises as :func:`read_corpus` does for a missing source or an empty
-    separator.
+    A missing source raises FileNotFoundError, and an empty separator
+    ValidationError.
     """
     path = Path(source)
     if path.is_dir():
-        files = _corpus_files(path)
+        files = [file for file in sorted(path.glob("*.txt")) if file.is_file()]
         cuts = sorted({len(files) * k // parts for k in range(parts + 1)})
         return [FileShard(tuple(files[a:b])) for a, b in zip(cuts, cuts[1:])]
     if not path.is_file():

@@ -14,7 +14,6 @@ whole lines, and names the first bad line in file order.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import operator
@@ -37,14 +36,12 @@ from .ingest import (
     Document,
     FrequencyListEntry,
     RowLayout,
-    ShardFault,
     TokenizerConfig,
     check_field,
     corpus_shards,
     decode_lines,
     line_blocks,
     parse_row,
-    read_corpus,
     write_utf8,
 )
 
@@ -307,19 +304,17 @@ def count_corpus(source, config: TokenizerConfig | None = None,
     CPUs. :func:`_count_shard` reads, tokenizes and tallies each one: in
     this process if there is one, else in a pool of one forked worker
     process per shard. The shard tables are added up in shard order. A
-    file shard raises what the serial reader raises; a stream shard that
-    meets input only the serial reader reports exactly (see
-    :class:`ingest.ShardFault`) makes :func:`compute_tc_df` read the
-    corpus again over :func:`ingest.read_corpus`. So every ``jobs`` value
-    gives the same table or the same error.
+    shard raises what :func:`ingest.read_corpus` raises at its first bad
+    line, and the first error in shard order is raised once every shard
+    has finished, so every ``jobs`` value gives the same table or the same
+    error, and a fault does not make the corpus be read again.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     cfg = config or TokenizerConfig()
     shards = corpus_shards(source, separator, min(jobs, _usable_cpus()))
-    count = functools.partial(_count_shard, config=cfg)
     if len(shards) <= 1:
-        tables = list(map(count, shards))
+        tables = [_count_shard(shard, cfg) for shard in shards]
     else:
         import multiprocessing  # here, not at the top: it would slow every CLI start
 
@@ -328,13 +323,13 @@ def count_corpus(source, config: TokenizerConfig | None = None,
         # The workers only read, tokenize and count: they call no BLAS
         # routine, whose idle threads are the only ones a fork can meet here.
         with multiprocessing.get_context("fork").Pool(len(shards)) as pool:
-            tables = []
-            for table in pool.imap(count, shards):
-                tables.append(table)
-                if table is None:
-                    break
-    if tables and tables[-1] is None:
-        return compute_tc_df(read_corpus(source, cfg, separator))
+            results = [pool.apply_async(_count_shard, (shard, cfg)) for shard in shards]
+            # Every shard finishes before the pool is left, even after a
+            # fault: leaving it with shards in flight calls terminate(),
+            # which can block forever in a long-lived process.
+            pool.close()
+            pool.join()
+        tables = [result.get() for result in results]  # raises the first error in shard order
     return tables[0] if len(tables) == 1 else _add_tables(tables)
 
 
@@ -347,12 +342,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_shard(shard, config: TokenizerConfig) -> TermStatsTable | None:
-    """The tc/df table of one shard; None if it meets a ShardFault."""
-    try:
-        return _tally(shard.token_lists(config))
-    except ShardFault:
-        return None
+def _count_shard(shard, config: TokenizerConfig) -> TermStatsTable:
+    """The tc/df table of one shard."""
+    return _tally(shard.token_lists(config))
 
 
 def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:

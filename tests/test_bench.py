@@ -39,6 +39,15 @@ class TestGeneratePairs:
         assert counts.tau_b > 0.5
         assert counts.ties_x > 0 and counts.ties_y > 0
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_neither_vector_entirely_tied(self, n):
+        from corpusstats import kendall_tau_fast
+
+        for seed in range(500):
+            x, y = generate_pairs(n, seed)
+            assert np.ptp(x) > 0 and np.ptp(y) > 0, seed
+            assert -1.0 <= kendall_tau_fast(x, y).tau_b <= 1.0
+
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):
             generate_pairs(1)

@@ -217,6 +217,19 @@ class TestCorrelate:
         assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{curve}'\n"
 
 
+    def test_a_degenerate_prefix_is_skipped_with_the_tools_warning(self, tmp_path, capsys):
+        # the two top tc terms share their df, so the first 2 pairs tie in y
+        table = tmp_path / "tied.stats"
+        table.write_text("#N=9\na\t100\t5\nb\t90\t5\nc\t80\t3\nd\t70\t2\n", encoding="utf-8")
+        out, curve = tmp_path / "r.tsv", tmp_path / "c.tsv"
+        capsys.readouterr()
+        run_ok(["correlate", "--stats", str(table), "--out", str(out),
+                "--curve-out", str(curve), "--checkpoints", "2,4"])
+        err = capsys.readouterr().err
+        assert err.startswith("warning: checkpoint 2 skipped: ") and err.count("\n") == 1
+        assert [line.split("\t")[0] for line in curve.read_text(encoding="utf-8").splitlines()] == ["4"]
+
+
 class TestRatio:
     def test_all_roundings_written(self, song_stats_file, tmp_path):
         prefix = tmp_path / "ratios"
@@ -412,6 +425,13 @@ class TestBench:
             assert any(line.startswith("#fit exponent=") for line in lines)
             assert any(line.startswith("#extrapolate 10000\t") for line in lines)
 
+    def test_two_pairs_are_timed(self, tmp_path):
+        prefix = tmp_path / "bench"
+        run_ok(["bench", "--kernel", "both", "--sizes", "2", "--trials", "1",
+                "--out-prefix", str(prefix)])
+        for kernel in ("naive", "fast"):
+            assert (tmp_path / f"bench.{kernel}.tsv").read_text(encoding="utf-8").startswith("2\t")
+
     @pytest.mark.parametrize("argv", [
         ["bench", "--sizes", "ten,20", "--out-prefix", "{out}/b"],
         ["correlate", "--stats", "{stats}", "--out", "{out}/r.tsv",
@@ -446,6 +466,16 @@ BAD_FLAG_VALUES = {
                            "--extrapolate", "0"], "--extrapolate"),
     "checkpoints_descending": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
                                 "--checkpoints", "100,10"], "--checkpoints"),
+    "checkpoints_negative": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
+                              "--checkpoints=-5,3"], "--checkpoints"),
+    "checkpoints_zero": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
+                          "--checkpoints", "0,3"], "--checkpoints"),
+    "checkpoints_one": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
+                         "--checkpoints", "1"], "--checkpoints"),
+    "curve_out_is_out": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/o",
+                          "--checkpoints", "3"], "--curve-out"),
+    "curve_out_links_to_out": (["correlate", "--stats", "{missing}", "--curve-out",
+                                "{out}/../out/./o", "--checkpoints", "3"], "--curve-out"),
 }
 
 

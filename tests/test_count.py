@@ -1,24 +1,34 @@
 """count_corpus: the sharded count behind ``count --jobs N``.
 
-Every ``--jobs`` value must write the bytes of the serial reference,
-``write_stats(compute_tc_df(read_corpus(...)))``, or fail with its exit
-code and message. The shard planner caps itself at the usable CPUs, so
-the tests that need more shards than this machine has CPUs raise that
-cap; the shard block size is lowered too, so that documents, lines and
-CRLF pairs straddle block ends.
+Every ``--jobs`` value must write the bytes of the serial reference, or
+fail with its exit code and message. The reference is independent of the
+shard reader that ``read_corpus`` and ``count`` share: :func:`line_loop_documents`
+splits a stream line by line over ``ingest.read_lines``. The shard planner
+caps itself at the usable CPUs, so the tests that need more shards than
+this machine has CPUs raise that cap; the shard block size is lowered
+too, so that documents, lines and CRLF pairs straddle block ends.
 """
 
+import io
 import multiprocessing
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusstats import ParseError, TokenizerConfig, compute_tc_df, read_corpus, write_stats
+from corpusstats import (
+    Document,
+    ParseError,
+    TokenizerConfig,
+    compute_tc_df,
+    read_corpus,
+    tokenize,
+    write_stats,
+)
 from corpusstats import ingest, stats
 from corpusstats.cli import main
 from corpusstats.ingest import FileShard, StreamShard, corpus_shards
@@ -38,9 +48,39 @@ def shard_limits(cpus=4, block=None):
         yield
 
 
+def line_loop_documents(corpus, separator=ingest.DEFAULT_SEPARATOR, cfg=TokenizerConfig()):
+    """The documents of a corpus, read one line at a time: the oracle.
+
+    A directory's ``*.txt`` files are its documents, in name order. In a
+    stream a line equal to ``separator`` ends a document, the lines after
+    the last one are a document, and a line that starts with it but is
+    longer raises ParseError once the documents before it are yielded.
+    """
+    corpus = Path(corpus)
+    if corpus.is_dir():
+        for file in sorted(corpus.glob("*.txt")):
+            yield Document(file.stem, tokenize(ingest.read_utf8(file), cfg))
+        return
+    index = 0
+    segment = None  # the lines of the document being read; None before its first line
+    for line_no, line in enumerate(ingest.read_lines(corpus), 1):
+        if line == separator:
+            index += 1
+            yield Document(f"doc{index:06d}", tokenize("\n".join(segment or []), cfg))
+            segment = None
+        elif line.startswith(separator):
+            raise ParseError(corpus, line_no, f"malformed document separator: {line!r}")
+        elif segment is None:
+            segment = [line]
+        else:
+            segment.append(line)
+    if segment is not None:
+        yield Document(f"doc{index + 1:06d}", tokenize("\n".join(segment), cfg))
+
+
 def reference_bytes(corpus, tmp, separator=ingest.DEFAULT_SEPARATOR):
     out = tmp / "serial.stats"
-    write_stats(compute_tc_df(read_corpus(corpus, separator=separator)), out)
+    write_stats(compute_tc_df(line_loop_documents(corpus, separator)), out)
     return out.read_bytes()
 
 
@@ -94,6 +134,8 @@ def test_stream_counts_match_serial_for_every_jobs(corpus, block, tmp_path_facto
     path.write_bytes(text.encode("utf-8"))
     want = reference_bytes(path, tmp, separator)
     with shard_limits(block=block):
+        want_docs = list(line_loop_documents(path, separator))
+        assert list(read_corpus(path, separator=separator)) == want_docs
         for jobs in JOBS:
             assert count_bytes(path, tmp, jobs, separator) == want, jobs
 
@@ -178,9 +220,55 @@ def test_stream_faults_report_as_serial_for_every_jobs(faults, tmp_path, capsys)
                          "--jobs", str(jobs)])
             reports.append((code, capsys.readouterr().err))
     with pytest.raises(ParseError) as serial:
-        list(read_corpus(path))
+        list(line_loop_documents(path))
     assert reports == [(2, f"error: {serial.value}\n")] * len(JOBS)
     assert not (tmp_path / "x").exists()
+
+
+FAULTS = [b"\xff", b"\xc3", b"\xe2\x80", b"%%DOC%%x", b"\n%%DOC%% y\n", "\r§—DOC—§z\r\n".encode(),
+          b"\r\xfe\r\n"]
+
+
+@st.composite
+def faulty_stream_corpora(draw):
+    """(data, separator) of a stream corpus with bad bytes or lines put in at any offsets."""
+    text, separator = draw(stream_corpora())
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(FAULTS)) + data[at:]
+    return data, separator
+
+
+def documents_or_error(documents):
+    """The documents yielded, and the message of the ParseError that ended them, or None."""
+    got = []
+    try:
+        for doc in documents:
+            got.append(doc)
+    except ParseError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=faulty_stream_corpora(), block=st.sampled_from([1, 3, 16, 1 << 20]))
+def test_faulty_streams_read_and_count_as_the_line_loop_for_every_jobs(corpus, block,
+                                                                     tmp_path_factory):
+    data, separator = corpus
+    tmp = tmp_path_factory.mktemp("faulty")
+    path = tmp / "corpus.txt"
+    path.write_bytes(data)
+    docs, error = documents_or_error(line_loop_documents(path, separator))
+    want = (2, f"error: {error}\n") if error else (0, reference_bytes(path, tmp, separator))
+    out = tmp / "out.stats"
+    with shard_limits(block=block):
+        assert documents_or_error(read_corpus(path, separator=separator)) == (docs, error)
+        for jobs in JOBS:
+            with redirect_stderr(io.StringIO()) as err:
+                code = main(["count", "--corpus", str(path), "--out", str(out), "--jobs", str(jobs),
+                             "--separator", separator])
+            assert (code, out.read_bytes() if code == 0 else err.getvalue()) == want, jobs
 
 
 def test_directory_faults_report_as_serial_for_every_jobs(tmp_path, capsys):
@@ -215,16 +303,28 @@ def test_separator_spanning_lines_reads_one_document(tmp_path):
     path.write_text("a\nb\na\nb\n", encoding="utf-8")
     with shard_limits(block=2):
         table = count_corpus(path, separator="a\nb", jobs=2)
+        assert [doc.tokens for doc in read_corpus(path, separator="a\nb")] == [["a", "b", "a", "b"]]
     assert table.doc_count == 1 and table.as_mapping() == {"a": (2, 1), "b": (2, 1)}
+
+
+def test_a_stream_that_shrank_after_it_was_cut_is_an_io_error(tmp_path):
+    path = tmp_path / "corpus.txt"
+    stream_with_faults(path, {})
+    shards = corpus_shards(path, parts=2)
+    path.write_bytes(path.read_bytes()[:shards[-1].start + 3])
+    with pytest.raises(OSError, match="shorter than when it was cut"):
+        list(shards[-1].token_lists(TokenizerConfig()))
 
 
 # --- workers ---------------------------------------------------------------
 
 class RecordingContext:
-    """A multiprocessing context whose pool records its size and runs in-process."""
+    """A multiprocessing context whose pool records its size and the calls
+    made on it, and runs each task in-process when it is submitted."""
 
     def __init__(self):
         self.pools = []
+        self.calls = []
 
     def Pool(self, processes):
         self.pools.append(processes)
@@ -234,10 +334,33 @@ class RecordingContext:
         return self
 
     def __exit__(self, *exc):
+        self.calls.append("exit")
         return False
 
-    def imap(self, fn, items):
-        return map(fn, items)
+    def apply_async(self, fn, args):
+        self.calls.append("apply_async")
+        return Done(fn, args)
+
+    def close(self):
+        self.calls.append("close")
+
+    def join(self):
+        self.calls.append("join")
+
+
+class Done:
+    """A task that has run: get() returns its value or raises its error."""
+
+    def __init__(self, fn, args):
+        try:
+            self.value, self.error = fn(*args), None
+        except Exception as exc:
+            self.value, self.error = None, exc
+
+    def get(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 @pytest.fixture
@@ -277,6 +400,50 @@ def test_zero_jobs_is_a_usage_error(recorded_pools, song_corpus_dir, tmp_path, m
     assert recorded_pools == [] and not out.exists()
 
 
+def test_every_shard_finishes_before_the_pool_is_left(monkeypatch, tmp_path):
+    context = RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    path = tmp_path / "corpus.txt"
+    stream_with_faults(path, {5: b"bad \xff", 30: b"%%DOC%%x"})  # in the first and the last shard
+    with shard_limits(block=16), pytest.raises(ParseError, match=r":11: not valid UTF-8$"):
+        count_corpus(path, jobs=4)
+    assert context.pools == [4]
+    assert context.calls == ["apply_async"] * 4 + ["close", "join", "exit"]
+
+
+STRESS = """
+import sys
+from pathlib import Path
+from corpusstats import ParseError, ingest, stats
+
+stats._usable_cpus = lambda: 4
+ingest._STREAM_BLOCK = 16
+path = Path(sys.argv[1])
+faults = 0
+for i in range(200):
+    lines = [b"doc %d text" % d for d in range(40)]
+    lines[i % 10] = b"bad \\xff byte" if i % 2 else b"%%DOC%%x"
+    path.write_bytes(b"\\n%%DOC%%\\n".join(lines) + b"\\n")
+    for jobs in (2, 3, 4):
+        try:
+            stats.count_corpus(path, jobs=jobs)
+        except ParseError:
+            faults += 1
+print(faults)
+"""
+
+
+def test_many_faulty_pool_counts_in_one_process_finish(tmp_path):
+    # Each corpus has its bad line in the first shard, so the other shards
+    # are still in flight when it fails. Leaving a pool while they are
+    # could hang a long-lived process within a few hundred such counts.
+    proc = subprocess.run([sys.executable, "-c", STRESS, str(tmp_path / "corpus.txt")],
+                          capture_output=True, text=True, timeout=60, cwd=ROOT,
+                          env={"PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "600"
+
+
 def test_usable_cpus_is_positive():
     assert stats._usable_cpus() >= 1
 
@@ -307,10 +474,11 @@ def test_stream_shard_tokens_match_read_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("Α ΣΑΣ.\r\n%%DOC%%\r\n\r\n%%DOC%%\rLong, long\rday".encode("utf-8"))
     cfg = TokenizerConfig()
-    want = [doc.tokens for doc in read_corpus(path, cfg)]
+    want = [doc.tokens for doc in line_loop_documents(path)]
     for block in (1, 2, 5, 1 << 20):
         with shard_limits(block=block):
             got = [tokens for shard in corpus_shards(path, parts=3) for tokens in shard.token_lists(cfg)]
+            assert [doc.tokens for doc in read_corpus(path, cfg)] == want
         assert got == want == [["α", "σας"], [], ["long", "long", "day"]]
     assert all(isinstance(s, StreamShard) for s in corpus_shards(path, parts=3))
 
