@@ -31,7 +31,7 @@ from .ingest import (
     Document,
     TokenizerConfig,
     outputs_together,
-    parse_frequency_list,
+    parse_frequency_list,  # noqa: F401 (no CLI path calls it; perfbench/tracer.py wraps it)
     read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
     read_utf8,
     tokenize,
@@ -353,15 +353,11 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
     if args.keep_lemmatized and flag != "--freq-list":
         raise UsageError(f"--keep-lemmatized applies to --freq-list input, not {flag}")
     if flag == "--stats":
-        source = stats.read_stats(path)
+        histogram = stats.frequency_of_frequencies(stats.read_stats(path), args.which)
     elif flag == "--ngram":
-        source = stats.read_ngram_table(path, args.min_count or 0)
-    elif args.keep_lemmatized:
-        # a table holds one row per term: this counts a term's lemma and surface rows apart
-        source = parse_frequency_list(path, keep_lemmatized=True)
-    else:
-        source = stats.read_frequency_table(path)
-    histogram = stats.frequency_of_frequencies(source, args.which)
+        histogram = stats.frequency_of_frequencies(stats.read_ngram_table(path, args.min_count or 0))
+    else:  # with --keep-lemmatized, a term's surface row and lemma row count apart
+        histogram = stats._list_histogram(path, args.keep_lemmatized)
     _write_report(sorted(histogram.items()), args.out, args.format)
 
 
@@ -377,19 +373,21 @@ def _load_docs(args: argparse.Namespace) -> list[Document]:
 
 
 def _background_model(args: argparse.Namespace) -> lexsig.BackgroundModel:
-    if (args.stats_path is None) == (args.freq_list is None):
-        raise UsageError("choose exactly one of --stats, --freq-list")
     if args.stats_path is not None:
         table = stats.read_stats(args.stats_path)
         mode = lexsig.DfMode.TC_AS_DF if args.tc_as_df else lexsig.DfMode.MEASURED_DF
         return lexsig.model_from_table(table, mode, args.n_hat)
-    if args.n_hat is None:
-        raise UsageError("--freq-list models need --n-hat (lists carry no document count)")
     table = stats.read_frequency_table(args.freq_list, keep_lemmatized=args.keep_lemmatized)
     return lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
 
 
 def _cmd_lexsig(args: argparse.Namespace) -> None:
+    if (args.stats_path is None) == (args.freq_list is None):
+        raise UsageError("choose exactly one of --stats, --freq-list")
+    if args.stats_path is None and args.n_hat is None:
+        raise UsageError("--freq-list models need --n-hat (lists carry no document count)")
+    if args.keep_lemmatized and args.stats_path is not None:
+        raise UsageError("--keep-lemmatized applies to --freq-list input, not --stats")
     docs = _load_docs(args)
     model = _background_model(args)
     signatures = [lexsig.lexical_signature(d, model, args.k, args.normalized_tf) for d in docs]

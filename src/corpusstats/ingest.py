@@ -435,13 +435,13 @@ LIST_ROWS = RowLayout("term<TAB>count<TAB>[L]", ("count",),
 NGRAM_ROWS = RowLayout("token<TAB>count", ("count",), LIST_ROWS.duplicate)
 
 
-def parse_row(path, line_no: int, line: str, layout: RowLayout, lemmas: set[str],
+def parse_row(path, line_no: int, line: str, layout: RowLayout,
               doc_count: int = 0) -> tuple[str, list[int], bool] | None:
     """The term, counts and lemma flag of line ``line_no``, or None for a blank line or a comment.
 
     Applies each check that needs no other row in turn, a table's df <=
     ``doc_count`` too, and raises ParseError naming ``line_no`` at the
-    first that fails. A lemma row's term may not be in ``lemmas`` yet.
+    first that fails.
     """
     if not line or layout.comments and line[0] == "#":
         return None
@@ -476,10 +476,6 @@ def parse_row(path, line_no: int, line: str, layout: RowLayout, lemmas: set[str]
         raise ParseError(path, line_no, f"count must be >= 1, got {counts[0]}")
     elif counts[0] > MAX_COUNT:
         raise ParseError(path, line_no, f"count exceeds 2**63 - 1: {counts[0]}")
-    if lemma:
-        if term in lemmas:
-            raise layout.duplicate_error(path, line_no, term, lemma=True)
-        lemmas.add(term)
     return term, counts, lemma
 
 
@@ -516,15 +512,14 @@ def _parse_count_rows(path: Path, layout: RowLayout, keep_lemmatized: bool,
     lemmas: set[str] = set()
     seen: set[str] = set()
     for line_no, line in enumerate(read_lines(path), 1):
-        row = parse_row(path, line_no, line, layout, lemmas)
-        if row is None or row[2] and not keep_lemmatized:
+        row = parse_row(path, line_no, line, layout)
+        if row is None:
             continue
         term, (count,), lemma = row
-        if not lemma:
-            if term in seen:
-                raise layout.duplicate_error(path, line_no, term)
-            seen.add(term)
-        if count >= min_count:
+        if term in (earlier := lemmas if lemma else seen):
+            raise layout.duplicate_error(path, line_no, term, lemma)
+        earlier.add(term)
+        if count >= min_count and (keep_lemmatized or not lemma):
             yield FrequencyListEntry(term, count, lemma)
 
 

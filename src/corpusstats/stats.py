@@ -49,7 +49,7 @@ _ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
 _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
 _MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
-_TAB, _LF, _CR, _ZERO, _HASH = b"\t\n\r0#"
+_TAB, _LF, _ZERO, _HASH, _L = b"\t\n0#L"
 _INT32_MAX = 2**31 - 1  # term buffers up to this size index their newlines with int32
 
 
@@ -448,30 +448,41 @@ def read_stats(path) -> TermStatsTable:
     pipe, is read once (:func:`_read_blocks`); any violation raises
     ParseError naming the first bad line in file order.
     """
-    return _read_blocks(Path(path))
+    return _read_blocks(Path(path))[0]
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
     """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields,
     with its errors. A table holds one row per term, so with ``keep_lemmatized``
     a lemma row and a surface row of one term are a duplicate too."""
-    return _read_blocks(Path(path), LIST_ROWS, keep_lemmatized)
+    return _read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0]
 
 
 def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
     """An n-gram count file as a tc-only table: the rows :func:`parse_ngram_counts` yields."""
-    return _read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)
+    if min_count < 0:
+        raise ValidationError(f"min_count must be >= 0, got {min_count}")
+    return _read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0]
+
+
+def _list_histogram(path, keep_lemmatized: bool) -> dict[int, int]:
+    """:func:`frequency_of_frequencies` of ``parse_frequency_list(path, keep_lemmatized)``."""
+    table, lemma_counts = _read_blocks(Path(path), LIST_ROWS)
+    histogram = Counter(lemma_counts.tolist() if keep_lemmatized else ())
+    if len(table) or not histogram:  # an empty table raises "no terms to histogram"
+        histogram.update(frequency_of_frequencies(table))
+    return dict(histogram)
 
 
 def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bool = False,
-                 min_count: int = 0) -> TermStatsTable:
+                 min_count: int = 0) -> tuple[TermStatsTable, np.ndarray]:
     """Read a stats table, or a list or n-gram file's rows (``layout``) as a tc-only table, in one pass.
 
-    Lemma rows are kept only with ``keep_lemmatized``, and counts below
-    ``min_count`` dropped after every check. :func:`_scan_block` parses
-    each block of lines; a block it cannot certify is parsed one line at
-    a time (:func:`_parse_lines`). Terms that did not ascend are sorted
-    once at the end. Raises at the first bad line in file order.
+    Lemma rows have a key space of their own and join the table's only with
+    ``keep_lemmatized``; the counts of those left out come with the table.
+    Counts below ``min_count`` are dropped after every check. Each block is
+    parsed by :func:`_scan_block`, or else :func:`_parse_lines`. Terms that
+    did not ascend are sorted once at the end. Raises at the first bad line in file order.
     """
     columns = len(layout.counts)
     with open(path, "rb") as fh:
@@ -481,8 +492,10 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
         cols = [np.zeros(0, dtype=np.int64) for _ in range(columns)]
         rows = 0
         line_no = 0  # lines before the block
-        lemmas: set[str] = set()  # the terms of a list's lemma rows
+        lemma_terms = bytearray()  # the terms of a list's lemma rows
+        lemma_counts = [np.zeros(0, dtype=np.int64)]  # those of the lemma rows left out
         distinct = _Distinct(lambda: bytes(terms).split(b"\n")[:-1])
+        lemma_distinct = _Distinct(lambda: bytes(lemma_terms).split(b"\n")[:-1])
         for block in line_blocks(fh, _BLOCK_SIZE, skip_bom=True):
             data = np.frombuffer(block, dtype=np.uint8)
             if doc_count is None:
@@ -497,18 +510,28 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
                 line_no += 1
             if not data.size:
                 continue
-            scanned = _scan_block(data, doc_count, columns, layout.comments)
-            if scanned is not None:
-                block_terms, counts, keys = scanned
-                lines, fault = range(line_no + 1, line_no + 1 + len(keys)), None
-                line_no += len(keys)
-            else:
-                block_terms, counts, keys, lines, fault = _parse_lines(
-                    path, data, line_no, layout, lemmas, keep_lemmatized, doc_count)
-                line_no += int(np.count_nonzero(data == _LF))
+            scanned = _scan_block(data, line_no, doc_count, layout)
+            block_terms, counts, lemma, lines, fault = scanned or _parse_lines(
+                path, data, line_no, layout, doc_count)
+            line_no += len(lines) if scanned else int(np.count_nonzero(data == _LF))
+            if lemma is not None and lemma.any():  # a list block with lemma rows
+                buf = np.frombuffer(block_terms, dtype=np.uint8)
+                in_lemmas = np.repeat(lemma, np.diff(np.flatnonzero(buf == _LF), prepend=-1))
+                lemma_block = buf[in_lemmas].tobytes()
+                j = lemma_distinct.repeat(lemma_block.split(b"\n")[:-1])
+                if j is not None:  # raised as a bad line is, after any repeat in the table before it
+                    fault = layout.duplicate_error(path, lines[np.flatnonzero(lemma)[j]],
+                                                   lemma_block.split(b"\n")[j].decode("utf-8"), True)
+                lemma_terms += lemma_block
+                if not keep_lemmatized:
+                    lemma_counts.append(counts[0][lemma])
+                    block_terms, counts = buf[~in_lemmas].tobytes(), [count[~lemma] for count in counts]
+            keys = block_terms.split(b"\n")[:-1]
             i = distinct.repeat(keys)
-            if i is not None:  # kept lemma rows share the terms' key space
-                raise layout.duplicate_error(path, lines[i], keys[i].decode("utf-8"))
+            if i is not None:  # the table holds every row, or the rows that are not lemma rows
+                line = lines[i if lemma is None or keep_lemmatized else np.flatnonzero(~lemma)[i]]
+                if fault is None or line < fault.line_no:
+                    raise layout.duplicate_error(path, line, keys[i].decode("utf-8"))
             if fault is not None:
                 raise fault
             n = len(keys)
@@ -538,7 +561,8 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
     else:
         terms, order, _ = _sorted_terms([terms])
         cols = [col[order] for col in cols]
-    return TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
+    table = TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
+    return table, np.concatenate(lemma_counts)
 
 
 def _first_line(data: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -566,25 +590,31 @@ def _parse_header(path: Path, line: bytes) -> int:
     return doc_count
 
 
-def _scan_block(data: np.ndarray, doc_count: int, columns: int, comments: bool):
-    """Check and parse one block of whole lines with ``columns`` counts per row.
+def _scan_block(data: np.ndarray, line_no: int, doc_count: int, layout: RowLayout):
+    """Check and parse one block of whole lines in ``layout``, the lines after line ``line_no``.
 
-    Returns the block's term buffer, its count columns as int64 and its
-    terms, or None if a line is blank, is not a valid row, or is one that
-    the scan does not parse: a count of more than 19 digits, a lemma row,
-    or a row that starts with ``#`` where such a line is a comment.
+    Returns what :func:`_parse_lines` does for a block without a bad line (lemma
+    flags None if no row ends in the lemma field ``\\tL``), or None if a line is
+    blank, is not a valid row, or is one that the scan does not parse: a count of
+    more than 19 digits, or a row that starts with ``#`` where that is a comment.
     """
+    columns = len(layout.counts)
     ends = np.flatnonzero(data == _LF)
     tabs = np.flatnonzero(data == _TAB)
+    lemma = None
+    if layout.lemma_field and tabs.size != columns * ends.size:  # rows that end in '\tL' are lemma rows
+        # a row under two bytes is none: -1 reads the final newline, a clipped -2 the row's own byte
+        lemma = (data[ends - 1] == _L) & (data.take(ends - 2, mode="clip") == _TAB)
+        tabs = np.delete(tabs, np.searchsorted(tabs, ends[lemma] - 2))  # a flag's tab ends no field
     if tabs.size != columns * ends.size:
         return None
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     row_tabs = [tabs[k::columns] for k in range(columns)]  # each row's k-th tab
-    # A row's fields: the term, then the counts, each ended by a tab or the newline.
+    # A row's fields: the term, then the counts, each ended by a tab, the newline or a '\tL'.
     field_starts = [starts, *(tab + 1 for tab in row_tabs)]
-    field_ends = [*row_tabs, ends]
+    field_ends = [*row_tabs, ends if lemma is None else ends - 2 * lemma]
     # Each line holds its own tabs, and no field is empty.
     if not all((end > start).all() for start, end in zip(field_starts, field_ends)):
         return None
@@ -596,7 +626,7 @@ def _scan_block(data: np.ndarray, doc_count: int, columns: int, comments: bool):
         df = counts[1]
         clean = (df >= 1).all() and (df <= tc).all() and (df <= doc_count).all()
     else:  # a list's comment lines start with '#'
-        clean = (tc >= 1).all() and not (comments and (data[starts] == _HASH).any())
+        clean = (tc >= 1).all() and not (layout.comments and (data[starts] == _HASH).any())
     if not (clean and (tc <= MAX_COUNT).all()):
         return None
     # Keep each term and the tab after it, then turn those tabs into newlines.
@@ -611,9 +641,7 @@ def _scan_block(data: np.ndarray, doc_count: int, columns: int, comments: bool):
             terms.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    keys = terms.split(b"\n")
-    keys.pop()
-    return terms, [count.view(np.int64) for count in counts], keys
+    return terms, [c.view(np.int64) for c in counts], lemma, line_no + 1 + np.arange(ends.size), None
 
 
 def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
@@ -635,26 +663,25 @@ def _parse_counts(data: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.nd
     return value
 
 
-def _parse_lines(path: Path, data: np.ndarray, line_no: int, layout: RowLayout,
-                 lemmas: set[str], keep_lemmatized: bool, doc_count: int):
-    """:func:`_scan_block`'s result for the rows before a block's first bad
-    line by :func:`ingest.parse_row` (lemma rows if ``keep_lemmatized``),
-    their line numbers, and that line's ParseError or None."""
+def _parse_lines(path: Path, data: np.ndarray, line_no: int, layout: RowLayout, doc_count: int):
+    """The term buffer, count columns as int64 and lemma flags of the rows
+    before a block's first bad line by :func:`ingest.parse_row`, their line
+    numbers, and that line's ParseError or None."""
     text, fault = decode_lines(path, data, line_no)
     rows: list[tuple[str, list[int], bool]] = []
     lines: list[int] = []
     for line_no, line in enumerate(text.split("\n")[:-1], line_no + 1):
         try:
-            row = parse_row(path, line_no, line, layout, lemmas, doc_count)
+            row = parse_row(path, line_no, line, layout, doc_count)
         except ParseError as exc:
             fault = exc
             break
-        if row is not None and (keep_lemmatized or not row[2]):
+        if row is not None:
             rows.append(row)
             lines.append(line_no)
-    keys = [term.encode("utf-8") for term, _, _ in rows]
+    terms = "".join(term + "\n" for term, _, _ in rows).encode("utf-8")
     counts = [np.array([row[1][k] for row in rows], dtype=np.int64) for k in range(len(layout.counts))]
-    return b"".join(key + b"\n" for key in keys), counts, keys, lines, fault
+    return terms, counts, np.array([row[2] for row in rows], dtype=bool), lines, fault
 
 
 def read_stats_columns(path) -> tuple[np.ndarray, np.ndarray, int]:

@@ -11,6 +11,7 @@ table, or the same ``path:line: message``, at every size.
 """
 
 import io
+import itertools
 import json
 import os
 import re
@@ -25,7 +26,9 @@ from corpusstats import (
     CorpusStatsError,
     ParseError,
     TermStatsTable,
+    ValidationError,
     frequency_of_frequencies,
+    ingest,
     parse_frequency_list,
     parse_ngram_counts,
     read_stats,
@@ -82,7 +85,7 @@ def read_at(path, size):
 
 def blocks_at(path, size):
     with block_size(size):
-        return columns_of(stats._read_blocks(path))
+        return columns_of(stats._read_blocks(path)[0])
 
 
 def error_at(path, size) -> ParseError:
@@ -268,7 +271,7 @@ def read_list_at(path, size, keep_lemmatized=False):
 
 def list_blocks_at(path, size, layout, **options):
     with block_size(size):
-        return list_columns(stats._read_blocks(path, layout, **options))
+        return list_columns(stats._read_blocks(path, layout, **options)[0])
 
 
 def line_loop(path, ngram, keep_lemmatized=False, min_count=0):
@@ -368,27 +371,36 @@ def test_ffreq_writes_the_histogram_of_the_line_loop(table_dir, lines, ngram, ke
     else:
         entries = parse_frequency_list(path, keep_lemmatized)
         args = ["ffreq", "--freq-list", str(path)] + (["--keep-lemmatized"] if keep_lemmatized else [])
+    want = line_loop_ffreq(entries, fmt)
+    for size in BLOCK_SIZES:
+        assert run_ffreq(args, fmt, size, table_dir / "ffreq.out") == want, size
+
+
+def line_loop_ffreq(entries, fmt):
+    """Exit code, stderr and output bytes (None: no file) that ``ffreq`` should give for
+    the line loop's ``entries``."""
     try:
         histogram = sorted(frequency_of_frequencies(entries).items())
     except CorpusStatsError as exc:
-        want = (2, f"error: {exc}\n", None)
+        return 2, f"error: {exc}\n", None
+    if fmt == "json":
+        body = json.dumps({str(k): v for k, v in histogram}, sort_keys=True, indent=2) + "\n"
     else:
-        if fmt == "json":
-            body = json.dumps({str(k): v for k, v in histogram}, sort_keys=True, indent=2) + "\n"
-        else:
-            body = "".join(f"{k}\t{v}\n" for k, v in histogram)
-        want = (0, "", body.encode("utf-8"))
-    out = table_dir / "ffreq.out"
-    for size in BLOCK_SIZES:
-        out.unlink(missing_ok=True)
-        stderr = io.StringIO()
-        with block_size(size), redirect_stderr(stderr):
-            code = main([*args, "--format", fmt, "--out", str(out)])
-        assert (code, stderr.getvalue(), out.read_bytes() if out.exists() else None) == want, size
+        body = "".join(f"{k}\t{v}\n" for k, v in histogram)
+    return 0, "", body.encode("utf-8")
+
+
+def run_ffreq(args, fmt, size, out):
+    """Exit code, stderr and output bytes (None: no file) of ``ffreq`` at one block size."""
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with block_size(size), redirect_stderr(stderr):
+        code = main([*args, "--format", fmt, "--out", str(out)])
+    return code, stderr.getvalue(), out.read_bytes() if out.exists() else None
 
 
 def test_ffreq_counts_a_terms_lemma_and_surface_rows_apart(table_dir):
-    # a table holds one row per term, so this stays on the line loop
+    # lemma rows have a key space of their own: the block reader counts both rows
     path = table_dir / "lemma.freq"
     path.write_text("a\t7\nb\t3\na\t7\tL\n", encoding="utf-8")
     out = table_dir / "ffreq.out"
@@ -521,3 +533,114 @@ def test_a_list_from_a_pipe_is_read_in_one_pass(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert (table.terms(), table.count_arrays()[0].tolist()) == (["a", "b"], [1, 2])
+
+
+def test_a_negative_min_count_is_refused_before_the_file_is_opened(tmp_path):
+    # the file does not exist, so the ValidationError shows that nothing was read first
+    missing = tmp_path / "missing.ngram"
+    for read in (stats.read_ngram_table, lambda path, n: list(parse_ngram_counts(path, n))):
+        with pytest.raises(ValidationError, match=re.escape("min_count must be >= 0, got -5")):
+            read(missing, -5)
+
+
+# Lists with lemma rows ('term<TAB>count<TAB>L'). Lemma rows have a key space
+# of their own: a term may have one surface row and one lemma row. Without
+# --keep-lemmatized they leave the table, and ffreq --keep-lemmatized counts
+# them beside it; with it, lexsig's table holds them too, so a lemma row of a
+# surface term is a duplicate term there.
+
+
+@st.composite
+def lemma_lists(draw):
+    """The rows of a list in term order: each term has a surface row, a lemma row or
+    both, in either order, or, in a list of only lemma rows, a lemma row; and
+    maybe one lemma row is repeated further on."""
+    terms = sorted(draw(st.lists(terms_st, max_size=10, unique=True)))
+    only_lemmas = draw(st.booleans())
+    rows = []
+    for term in terms:
+        kinds = "L" if only_lemmas else draw(st.sampled_from(["S", "L", "SL", "LS"]))
+        rows += [f"{term}\t{draw(counts_st)}" + ("\tL" if kind == "L" else "") for kind in kinds]
+    lemma_rows = [row for row in rows if row.endswith("\tL")]
+    if lemma_rows and draw(st.booleans()):
+        row = draw(st.sampled_from(lemma_rows))
+        rows.insert(draw(st.integers(rows.index(row) + 1, len(rows))), row)
+    return rows
+
+
+def kept_line_loop(path):
+    """The columns of ``read_frequency_table(path, keep_lemmatized=True)`` by the line
+    loop, where a lemma row and a surface row of one term are a duplicate too; every
+    line of ``path`` is a row."""
+    kinds = {}
+    for line_no, entry in enumerate(parse_frequency_list(path, keep_lemmatized=True), 1):
+        if kinds.setdefault(entry.term, entry.lemmatized) != entry.lemmatized:
+            raise ParseError(path, line_no, LIST_ROWS.duplicate.format(repr(entry.term)))
+    return list_columns(TermStatsTable.from_entries(parse_frequency_list(path, keep_lemmatized=True)))
+
+
+def outcome(read):
+    """What ``read()`` returns, or the message of the data error it raises."""
+    try:
+        return read()
+    except CorpusStatsError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=lemma_lists(), eol=st.sampled_from(["\n", "\r\n"]), fmt=st.sampled_from(["tsv", "json"]))
+def test_lemma_rows_read_as_the_line_loop_reads_them(table_dir, rows, eol, fmt):
+    path = table_dir / "lemmas.freq"
+    path.write_bytes("".join(row + eol for row in rows).encode("utf-8"))
+    for keep in (False, True):
+        flag = ["--keep-lemmatized"] if keep else []
+        want_ffreq = line_loop_ffreq(parse_frequency_list(path, keep), fmt)
+        want_table = outcome(lambda: kept_line_loop(path) if keep else line_loop(path, False))
+        want_lexsig = (2, want_table + "\n") if isinstance(want_table, str) else (0, "")
+        for size in BLOCK_SIZES:
+            got = run_ffreq(["ffreq", "--freq-list", str(path), *flag], fmt, size, table_dir / "o")
+            assert got == want_ffreq, (keep, size)
+            with block_size(size):
+                assert outcome(lambda: read_list_at(path, size, keep)) == want_table, (keep, size)
+                assert lexsig_error(path, table_dir, keep) == want_lexsig, (keep, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(["a", "b", "c\xe9", "#d"]), st.sampled_from(["1", "20", "2x"]),
+                            st.sampled_from(["", "\tL", "\tl", "\tL\t", "\t\tL", "L"])),
+                  min_size=1, max_size=8),
+    keep=st.booleans(),
+)
+def test_the_scan_takes_a_list_block_exactly_when_its_rows_are_clean(table_dir, rows, keep):
+    # Clean rows, lemma rows among them, in any term order, and repeated or
+    # not, take the scan; one line that is not a clean row sends the block
+    # (here the whole list) to the per-line parser. Comments at the top of a
+    # block are skipped before the scan.
+    body = list(itertools.dropwhile(lambda row: row[0].startswith("#"), rows))
+    clean = all(not term.startswith("#") and count.isdigit() and flag in ("", "\tL")
+                for term, count, flag in body)
+    path = table_dir / "scan.freq"
+    path.write_text("".join(f"{term}\t{count}{flag}\n" for term, count, flag in rows), encoding="utf-8")
+    parsed = []
+    parse_lines = stats._parse_lines
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_parse_lines", lambda *args: parsed.append(1) or parse_lines(*args))
+        outcome(lambda: read_list_at(path, 2**20, keep))
+    assert bool(parsed) == (not clean)
+
+
+def test_no_cli_path_reads_a_list_through_the_line_loop(table_dir, monkeypatch):
+    # parse_frequency_list stays the library's file-order iterator, but no CLI
+    # path may read a list through it
+    def line_loop(*args):
+        raise AssertionError("a list was read through the line loop")
+
+    monkeypatch.setattr(ingest, "_parse_count_rows", line_loop)
+    path = table_dir / "no_loop.freq"
+    path.write_text("# words\nb\t3\nc\t2\tL\nd\t7\n\ne\t3\tL\n", encoding="utf-8")
+    out = table_dir / "no_loop.out"
+    for flag, want in (([], "3\t1\n7\t1\n"), (["--keep-lemmatized"], "2\t1\n3\t2\n7\t1\n")):
+        assert main(["ffreq", "--freq-list", str(path), *flag, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want
+        assert lexsig_error(path, table_dir, keep_lemmatized=bool(flag)) == (0, "")

@@ -456,6 +456,11 @@ BAD_FLAG_VALUES = {
                        "--k", "0"], "--k"),
     "lexsig_n_hat": (["lexsig", "--freq-list", "{missing}", "--doc", "{missing}",
                       "--n-hat", "0"], "--n-hat"),
+    "lexsig_keep_lemmatized_stats": (["lexsig", "--stats", "{missing}", "--doc", "{missing}",
+                                      "--keep-lemmatized"], "--keep-lemmatized"),
+    "lexsig_no_background": (["lexsig", "--doc", "{missing}"], "--freq-list"),
+    "lexsig_freq_list_no_n_hat": (["lexsig", "--freq-list", "{missing}", "--doc", "{missing}"],
+                                  "--n-hat"),
     "ffreq_min_count": (["ffreq", "--ngram", "{missing}", "--min-count", "-1"], "--min-count"),
     "bench_trials": (["bench", "--sizes", "200,400", "--trials", "0"], "--trials"),
     "bench_budget": (["bench", "--sizes", "200,400", "--budget", "0"], "--budget"),

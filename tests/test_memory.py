@@ -1,4 +1,4 @@
-"""A memory budget for each stage that reads a whole stats table.
+"""A memory budget for each stage that reads a whole stats table or frequency list.
 
 Each stage runs through ``cli.main`` under ``tracemalloc``, which numpy
 reports its array buffers to, and its traced peak is measured in int64
@@ -62,5 +62,35 @@ def traced_peak(argv) -> int:
 def test_stage_peak_within_budget(stage, tied_table, tmp_path):
     args, bound = BUDGETS[stage]
     argv = [args[0], "--stats", str(tied_table), *(arg.format(out=tmp_path) for arg in args[1:])]
+    columns = traced_peak(argv) / (N * 8)
+    assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
+
+
+# ffreq flags after --freq-list LIST -> peak bound in int64 columns of n. The
+# block reader holds the list's table and the lemma rows' counts; the line
+# loop held a set of every surface term, near 16 columns with --keep-lemmatized.
+LIST_BUDGETS = {
+    "ffreq_freq_list": ([], 5.5),
+    "ffreq_freq_list_keep_lemmatized": (["--keep-lemmatized"], 5.5),
+}
+
+
+@pytest.fixture(scope="module")
+def lemma_list(tmp_path_factory):
+    """A term-sorted list of N surface rows, a tenth of them followed by a lemma row of their term."""
+    rng = np.random.default_rng(7)
+    tc = np.minimum(np.floor(rng.pareto(1.1, N) + 1).astype(np.int64), 500)
+    lemma = rng.random(N) < 0.1
+    path = tmp_path_factory.mktemp("memory") / "lemmas.freq"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (count, flag) in enumerate(zip(tc.tolist(), lemma.tolist())):
+            fh.write(f"t{i:07d}\t{count}\n" + (f"t{i:07d}\t{count}\tL\n" if flag else ""))
+    return path
+
+
+@pytest.mark.parametrize("stage", sorted(LIST_BUDGETS))
+def test_list_stage_peak_within_budget(stage, lemma_list, tmp_path):
+    flags, bound = LIST_BUDGETS[stage]
+    argv = ["ffreq", "--freq-list", str(lemma_list), *flags, "--out", str(tmp_path / "ffreq.tsv")]
     columns = traced_peak(argv) / (N * 8)
     assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
