@@ -244,6 +244,8 @@ def _write_report(rows, path: Path, fmt: str) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> None:
+    if not args.separator:
+        raise UsageError("--separator must be non-empty")
     tokenizer = TokenizerConfig(args.lowercase, args.strip_edge_punctuation)
     table = stats.count_corpus(args.corpus, tokenizer, args.separator, _effective_jobs(args))
     stats.write_stats(table, args.out)
@@ -255,6 +257,8 @@ def _cmd_rank(args: argparse.Namespace) -> None:
         raise UsageError("choose exactly one of --by, --scatter, --overlap")
     if args.overlap is not None and not 1 <= args.overlap[0] <= args.overlap[1]:
         raise UsageError("--overlap needs 1 <= FROM <= TO")
+    if args.format == "json" and args.overlap is None:
+        raise UsageError("--format applies to --overlap reports only")
     table = stats.read_stats(args.stats_path)
     if args.by is not None:
         ranking.write_ranked_list(ranking.ranked_by(table, args.by), args.out)
@@ -441,6 +445,8 @@ def _cmd_compare_sig(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
+    if args.extrapolate and len(args.sizes) < 2:
+        raise UsageError("--extrapolate needs at least two --sizes to fit")
     kernels = ["naive", "fast"] if args.kernel == "both" else [args.kernel]
     for kernel in kernels:
         curve = bench_mod.time_kernel(

@@ -18,11 +18,11 @@ import io
 import itertools
 import operator
 import os
-import stat
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -60,8 +60,9 @@ class TermStatsTable:
     their tc and df as int64 arrays. The terms are one UTF-8 buffer in
     which every term is followed by a newline; UTF-8 byte order is
     code-point order, so the buffer sorts exactly as the ``str`` terms do.
-    The constructor takes the term buffer and the count columns as they
-    are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
+    The constructor takes the term buffer, which may be the stats reader's
+    ``bytearray`` (never written after the read), and the count columns as
+    they are; :meth:`from_mapping` builds them from ``term -> (tc, df)``.
     A frequency list gives a tc-only table (:meth:`from_entries`,
     :func:`read_frequency_table`, :func:`read_ngram_table`): its df
     column is None and its doc_count 0, since a list carries neither.
@@ -70,7 +71,7 @@ class TermStatsTable:
 
     __slots__ = ("_terms", "_ends", "_tc", "_df", "doc_count")
 
-    def __init__(self, terms: bytes, tc: np.ndarray, df: np.ndarray | None, doc_count: int):
+    def __init__(self, terms: bytes | bytearray, tc: np.ndarray, df: np.ndarray | None, doc_count: int):
         self._terms = terms
         ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
         self._ends = ends.astype(np.int32) if len(terms) <= _INT32_MAX else ends
@@ -96,22 +97,15 @@ class TermStatsTable:
         """The tc-only table of frequency-list entries; a term may appear only once.
 
         Entries are consumed one at a time, so a duplicate term raises
-        ValidationError before any later entry is read. They are sorted
-        once at the end if they did not come in ascending order.
+        ValidationError before any later entry is read; they are sorted once.
         """
-        terms: list[str] = []
-        counts: list[int] = []
-        distinct = _Distinct(lambda: terms)
+        counts: dict[str, int] = {}
         for entry in entries:
-            if distinct.repeat([entry.term]) is not None:
+            if entry.term in counts:
                 raise ValidationError(f"duplicate term in entries: {entry.term!r}")
-            terms.append(entry.term)
-            counts.append(entry.count)
-        if not distinct.ascending:
-            order = sorted(range(len(terms)), key=terms.__getitem__)
-            terms = [terms[i] for i in order]
-            counts = [counts[i] for i in order]
-        return cls._from_sorted(terms, counts, None, 0)
+            counts[entry.term] = entry.count
+        terms = sorted(counts)
+        return cls._from_sorted(terms, map(counts.__getitem__, terms), None, 0)
 
     @classmethod
     def _from_sorted(cls, terms: list[str], tc: Iterable[int], df: Iterable[int] | None,
@@ -222,38 +216,46 @@ class TermStatsTable:
             )
 
 
-class _Distinct:
-    """Spots a repeated term among terms given in batches, in their order.
+class _Keys:
+    """The terms of one key space of a file in file order, in one buffer.
 
-    While the terms ascend, each is compared with the one before it. From
-    the first batch that does not ascend on, they go into a set, which
-    starts with ``earlier()``, the terms of the batches before.
+    While they strictly ascend they are distinct: each batch is compared
+    with the term before it. From the first batch that does not ascend on,
+    each term's line is kept, and the sort that orders the terms finds their
+    first repeat too.
     """
 
-    def __init__(self, earlier: Callable[[], Iterable]):
-        self._earlier = earlier
-        self._last = None  # the last term, while they ascend
-        self._seen: set | None = None
+    def __init__(self):
+        self.terms = bytearray()
+        self._last = b""  # the last term, while they ascend; no term is empty
+        self._lines: array | None = None  # from the first batch that does not ascend on
 
-    @property
-    def ascending(self) -> bool:
-        return self._seen is None
+    def add(self, terms: bytes, lines, rows: np.ndarray | None = None) -> None:
+        """Append ``terms``, each followed by a newline, from ``lines`` (those ``rows`` selects)."""
+        keys = terms.split(b"\n")[:-1]
+        if keys and self._lines is None and not (
+                self._last < keys[0] and all(map(operator.lt, keys, itertools.islice(keys, 1, None)))):
+            self._lines = array("q")
+        if self._lines is not None:
+            lines = np.asarray(lines, dtype=np.int64)
+            self._lines.frombytes((lines if rows is None else lines[rows]).tobytes())
+        elif keys:
+            self._last = keys[-1]
+        self.terms += terms
 
-    def repeat(self, terms: list) -> int | None:
-        """The index of the first of ``terms`` that came before it, or None."""
-        if not terms:
-            return None
-        if self._seen is None:
-            if ((self._last is None or self._last < terms[0])
-                    and all(map(operator.lt, terms, itertools.islice(terms, 1, None)))):
-                self._last = terms[-1]
-                return None
-            self._seen = set(self._earlier())
-        for i, term in enumerate(terms):
-            if term in self._seen:
-                return i
-            self._seen.add(term)
-        return None
+    def sort(self, path: Path, layout: RowLayout, lemma: bool = False):
+        """The terms sorted, and the rows in that order (every row, if they ascend);
+        and the ParseError of the first row in file order that repeats a term, or None."""
+        if self._lines is None:
+            return self.terms, slice(None), None
+        packed, order, first = _sorted_terms([self.terms])
+        if first.all():
+            return packed, order, None
+        row = int(order[~first].min())  # a stable sort puts a term's first row first
+        ends = np.flatnonzero(np.frombuffer(self.terms, dtype=np.uint8) == _LF)
+        term = self.terms[ends[row - 1] + 1 if row else 0:ends[row]].decode("utf-8")
+        line = self._lines[row - ends.size + len(self._lines)]
+        return packed, order, layout.duplicate_error(path, line, term, lemma)
 
 
 def _sorted_terms(buffers: list) -> tuple[bytes, np.ndarray, np.ndarray]:
@@ -482,20 +484,16 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
     ``keep_lemmatized``; the counts of those left out come with the table.
     Counts below ``min_count`` are dropped after every check. Each block is
     parsed by :func:`_scan_block`, or else :func:`_parse_lines`. Terms that
-    did not ascend are sorted once at the end. Raises at the first bad line in file order.
+    did not ascend are sorted once, at the end or at a bad line, and that
+    sort finds a repeated term too. Raises at the first bad line in file order.
     """
     columns = len(layout.counts)
+    doc_count = None if columns == 2 else 0  # a table's comes from its header
+    keys, lemma_keys = _Keys(), _Keys()  # the table's terms and those of a list's lemma rows
+    cols = [array("q") for _ in range(columns)]
+    lemma_counts = [np.zeros(0, dtype=np.int64)]  # those of the lemma rows left out
+    line_no = 0  # lines before the block
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        doc_count = None if columns == 2 else 0  # a table's comes from its header
-        terms = bytearray()
-        cols = [np.zeros(0, dtype=np.int64) for _ in range(columns)]
-        rows = 0
-        line_no = 0  # lines before the block
-        lemma_terms = bytearray()  # the terms of a list's lemma rows
-        lemma_counts = [np.zeros(0, dtype=np.int64)]  # those of the lemma rows left out
-        distinct = _Distinct(lambda: bytes(terms).split(b"\n")[:-1])
-        lemma_distinct = _Distinct(lambda: bytes(lemma_terms).split(b"\n")[:-1])
         for block in line_blocks(fh, _BLOCK_SIZE, skip_bom=True):
             data = np.frombuffer(block, dtype=np.uint8)
             if doc_count is None:
@@ -506,7 +504,7 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
                 comment, data = _first_line(data)
                 _, fault = decode_lines(path, comment, line_no)
                 if fault is not None:
-                    raise fault
+                    _sort_keys(path, layout, keys, lemma_keys, fault)
                 line_no += 1
             if not data.size:
                 continue
@@ -514,55 +512,42 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
             block_terms, counts, lemma, lines, fault = scanned or _parse_lines(
                 path, data, line_no, layout, doc_count)
             line_no += len(lines) if scanned else int(np.count_nonzero(data == _LF))
+            rows = None  # the block's rows that the table holds, if not all
             if lemma is not None and lemma.any():  # a list block with lemma rows
                 buf = np.frombuffer(block_terms, dtype=np.uint8)
                 in_lemmas = np.repeat(lemma, np.diff(np.flatnonzero(buf == _LF), prepend=-1))
-                lemma_block = buf[in_lemmas].tobytes()
-                j = lemma_distinct.repeat(lemma_block.split(b"\n")[:-1])
-                if j is not None:  # raised as a bad line is, after any repeat in the table before it
-                    fault = layout.duplicate_error(path, lines[np.flatnonzero(lemma)[j]],
-                                                   lemma_block.split(b"\n")[j].decode("utf-8"), True)
-                lemma_terms += lemma_block
+                lemma_keys.add(buf[in_lemmas].tobytes(), lines, lemma)
                 if not keep_lemmatized:
                     lemma_counts.append(counts[0][lemma])
-                    block_terms, counts = buf[~in_lemmas].tobytes(), [count[~lemma] for count in counts]
-            keys = block_terms.split(b"\n")[:-1]
-            i = distinct.repeat(keys)
-            if i is not None:  # the table holds every row, or the rows that are not lemma rows
-                line = lines[i if lemma is None or keep_lemmatized else np.flatnonzero(~lemma)[i]]
-                if fault is None or line < fault.line_no:
-                    raise layout.duplicate_error(path, line, keys[i].decode("utf-8"))
-            if fault is not None:
-                raise fault
-            n = len(keys)
-            if rows + n > cols[0].size:
-                if stat.S_ISREG(info.st_mode):
-                    # room for the rows the rest of the file holds at this block's density
-                    capacity = rows + n + int(n * max(info.st_size - fh.tell(), 0) / data.size * 1.05)
-                else:  # a pipe, whose size is unknown
-                    capacity = 2 * (rows + n)
-                for col in cols:
-                    col.resize(capacity, refcheck=False)
+                    block_terms, counts, rows = buf[~in_lemmas].tobytes(), [c[~lemma] for c in counts], ~lemma
+            keys.add(block_terms, lines, rows)
             for col, count in zip(cols, counts):
-                col[rows:rows + n] = count
-            rows += n
-            terms += block_terms
+                col.frombytes(count.tobytes())
+            if fault is not None:
+                _sort_keys(path, layout, keys, lemma_keys, fault)
     if doc_count is None:  # an empty file
         raise ParseError(path, 1, "missing #N=<doc_count> header")
-    for col in cols:
-        col.resize(rows, refcheck=False)
+    terms, order = _sort_keys(path, layout, keys, lemma_keys)
+    del keys  # an unsorted buffer and its lines are freed before the columns are sorted
+    cols = [np.frombuffer(col, dtype=np.int64)[order] for col in cols]
     if min_count > 1:
         keep = cols[0] >= min_count
         ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
-        terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, np.diff(ends, prepend=-1))]
+        terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, np.diff(ends, prepend=-1))].tobytes()
         cols = [col[keep] for col in cols]
-    if distinct.ascending:
-        terms = bytes(terms)  # the bytearray is freed before the table indexes the copy
-    else:
-        terms, order, _ = _sorted_terms([terms])
-        cols = [col[order] for col in cols]
     table = TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
     return table, np.concatenate(lemma_counts)
+
+
+def _sort_keys(path: Path, layout: RowLayout, keys: _Keys, lemma_keys: _Keys, fault=None):
+    """:meth:`_Keys.sort` of the table's ``keys``, after raising the first in file order of
+    a repeat among ``lemma_keys``, one among ``keys`` and ``fault`` (on one line, in that order)."""
+    lemma_repeat = lemma_keys.sort(path, layout, True)[2]
+    terms, order, repeat = keys.sort(path, layout)
+    errors = [error for error in (lemma_repeat, repeat, fault) if error is not None]
+    if errors:
+        raise min(errors, key=operator.attrgetter("line_no"))
+    return terms, order
 
 
 def _first_line(data: np.ndarray) -> tuple[bytes, np.ndarray]:

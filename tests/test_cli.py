@@ -469,6 +469,11 @@ BAD_FLAG_VALUES = {
     "bench_sizes_empty": (["bench", "--sizes", ""], "--sizes"),
     "bench_extrapolate": (["bench", "--sizes", "200,400", "--trials", "1",
                            "--extrapolate", "0"], "--extrapolate"),
+    "bench_extrapolate_one_size": (["bench", "--sizes", "10", "--extrapolate", "100"], "--extrapolate"),
+    "count_separator_empty": (["count", "--corpus", "{missing}", "--separator", ""], "--separator"),
+    "rank_by_format_json": (["rank", "--stats", "{missing}", "--by", "tc", "--format", "json"], "--format"),
+    "rank_scatter_format_json": (["rank", "--stats", "{missing}", "--scatter", "--format", "json"],
+                                 "--format"),
     "checkpoints_descending": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",
                                 "--checkpoints", "100,10"], "--checkpoints"),
     "checkpoints_negative": (["correlate", "--stats", "{missing}", "--curve-out", "{out}/c",

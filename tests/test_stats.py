@@ -306,3 +306,38 @@ class TestStatsFileFormat:
         with pytest.raises(ParseError) as err:
             read_stats(path)
         assert ":2: tc exceeds 2**63 - 1" in str(err.value)
+
+
+class TestRepeatsAmongUnsortedRows:
+    """A term repeated among rows that do not ascend is found by the sort that
+    orders them, after the file, or its rows before a bad line, has been read;
+    the error named is still the first in file order, at every block size."""
+
+    CASES = {
+        "repeat_before_a_bad_comment": (b"b\t1\na\t1\nb\t2\n# caf\xe9\n", False,
+                                        "3: duplicate term 'b'"),
+        "bad_line_before_a_repeat": (b"b\t1\na\t1\nx\t0\nb\t2\n", False, "3: count must be >= 1, got 0"),
+        "table_repeat_before_a_lemma_repeat": (b"b\t1\na\t1\nb\t2\nc\t1\tL\nc\t1\tL\n", False,
+                                               "3: duplicate term 'b'"),
+        "lemma_repeat_before_a_table_repeat": (b"c\t1\tL\na\t1\tL\nc\t1\tL\nb\t1\na\t2\nb\t1\n", False,
+                                               "3: duplicate term 'c' (lemma row)"),
+        "lemma_repeat_on_the_table_repeat_line": (b"b\t1\tL\na\t1\tL\nb\t1\tL\n", True,
+                                                  "3: duplicate term 'b' (lemma row)"),
+    }
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 2**20])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_first_error_in_file_order_is_raised(self, case, size, tmp_path, monkeypatch):
+        data, keep_lemmatized, message = self.CASES[case]
+        path = tmp_path / "words.freq"
+        path.write_bytes(data)
+        monkeypatch.setattr(stats, "_BLOCK_SIZE", size)
+        with pytest.raises(ParseError) as err:
+            stats.read_frequency_table(path, keep_lemmatized)
+        assert str(err.value).startswith(f"{path}:{message}")
+
+    def test_a_sorted_repeat_is_found_as_an_unsorted_one(self, tmp_path):
+        path = tmp_path / "dup.stats"
+        path.write_text("#N=5\na\t1\t1\nb\t1\t1\nb\t2\t1\nc\t1\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":4: duplicate term 'b'"):
+            read_stats(path)
