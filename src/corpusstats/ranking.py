@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import write_utf8
+from .ingest import FrequencyListEntry, write_utf8
 from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable
 
 
@@ -122,24 +122,20 @@ def fractional_rank(values) -> np.ndarray:
 def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
     """Rank (term, value) pairs by value descending.
 
-    Values must be non-negative integers up to 2**63 - 1; duplicate terms
-    are refused. Deterministic: equal inputs give byte-equal exports.
+    Values must be non-negative integers up to 2**63 - 1. The terms are
+    refused as :meth:`TermStatsTable.from_entries` refuses them: a repeat,
+    a newline or a lone surrogate. Deterministic: equal inputs give
+    byte-equal exports.
     """
-    values: dict[str, int] = {}
-    for term, value in pairs:
-        if term in values:
-            raise ValidationError(f"duplicate term: {term!r}")
+    def entry(term: str, value) -> FrequencyListEntry:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValidationError(f"value for {term!r} is not an integer: {value!r}")
         if value < 0:
             raise ValidationError(f"value for {term!r} is negative: {value}")
-        values[term] = int(value)
-    terms = sorted(values)
-    try:
-        column = np.fromiter((values[t] for t in terms), dtype=np.int64, count=len(terms))
-    except OverflowError:
-        raise ValidationError("values exceed the int64 limit of 2**63 - 1") from None
-    return _rank_sorted_rows(column, lambda order: list(map(terms.__getitem__, order)))
+        return FrequencyListEntry(term, int(value))
+
+    table = TermStatsTable.from_entries(entry(term, value) for term, value in pairs)
+    return _rank_sorted_rows(table.count_arrays()[0], table.terms_at)
 
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:

@@ -14,7 +14,6 @@ whole lines, and names the first bad line in file order.
 
 from __future__ import annotations
 
-import io
 import itertools
 import operator
 import os
@@ -22,7 +21,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .ingest import (
 )
 
 _ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
+_TALLY_ROWS = 1 << 16  # token rows the tally buffers at least before it counts them
 _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
 _MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
@@ -87,10 +87,8 @@ class TermStatsTable:
     @classmethod
     def from_mapping(cls, counts: Mapping[str, tuple[int, int]], doc_count: int) -> TermStatsTable:
         """Build the sorted columns from a ``term -> (tc, df)`` mapping."""
-        terms = sorted(counts)
-        tc = (counts[t][0] for t in terms)
-        df = (counts[t][1] for t in terms)
-        return cls._from_sorted(terms, tc, df, doc_count)
+        tc, df = (_count_column((pair[k] for pair in counts.values()), len(counts)) for k in (0, 1))
+        return cls._from_unsorted(_pack_terms(counts), tc, df, doc_count)
 
     @classmethod
     def from_entries(cls, entries: Iterable[FrequencyListEntry]) -> TermStatsTable:
@@ -104,22 +102,16 @@ class TermStatsTable:
             if entry.term in counts:
                 raise ValidationError(f"duplicate term in entries: {entry.term!r}")
             counts[entry.term] = entry.count
-        terms = sorted(counts)
-        return cls._from_sorted(terms, map(counts.__getitem__, terms), None, 0)
+        tc = _count_column(counts.values(), len(counts))
+        return cls._from_unsorted(_pack_terms(counts), tc, None, 0)
 
     @classmethod
-    def _from_sorted(cls, terms: list[str], tc: Iterable[int], df: Iterable[int] | None,
-                     doc_count: int) -> TermStatsTable:
-        """Build the table from sorted ``terms`` and their counts, in that order.
-
-        ``df`` None gives a tc-only table.
-        """
-        try:
-            tc_col = np.fromiter(tc, dtype=np.int64, count=len(terms))
-            df_col = None if df is None else np.fromiter(df, dtype=np.int64, count=len(terms))
-        except OverflowError:
-            raise ValidationError("a count exceeds 2**63 - 1") from None
-        return cls(_pack_terms(terms), tc_col, df_col, doc_count)
+    def _from_unsorted(cls, terms: bytes, tc: np.ndarray, df: np.ndarray | None,
+                       doc_count: int) -> TermStatsTable:
+        """The table of a buffer of distinct ``terms`` in any order and their
+        count columns in that order; ``df`` None gives a tc-only table."""
+        packed, order, _ = _term_order(terms)
+        return cls(packed, tc[order], None if df is None else df[order], doc_count)
 
     def __len__(self) -> int:
         return self._ends.size
@@ -174,13 +166,7 @@ class TermStatsTable:
         terms: list[str] = [""] * len(rows)
         for lo in range(0, len(rows), _ROWS_PER_CHUNK):
             chunk = rows[lo:lo + _ROWS_PER_CHUNK]
-            ends = self._ends[chunk] + 1  # past each term's newline
-            starts = np.where(chunk > 0, self._ends[chunk - 1] + 1, 0)
-            lengths = ends - starts
-            # every byte of every chosen term, term after term
-            where = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-            where += np.arange(where.size)
-            decoded = data[where].tobytes().decode("utf-8").split("\n")
+            decoded = _pick(data, self._ends, chunk).tobytes().decode("utf-8").split("\n")
             terms[lo:lo + chunk.size] = decoded[:-1]  # the last is empty: after the final newline
         return terms
 
@@ -248,7 +234,7 @@ class _Keys:
         and the ParseError of the first row in file order that repeats a term, or None."""
         if self._lines is None:
             return self.terms, slice(None), None
-        packed, order, first = _sorted_terms([self.terms])
+        packed, order, first = _term_order(self.terms)
         if first.all():
             return packed, order, None
         row = int(order[~first].min())  # a stable sort puts a term's first row first
@@ -258,29 +244,90 @@ class _Keys:
         return packed, order, layout.duplicate_error(path, line, term, lemma)
 
 
-def _sorted_terms(buffers: list) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The term buffer of the distinct terms of term ``buffers``, sorted; the
-    order that sorts all their terms; and which sorted term is a first copy.
+def _term_order(buffer) -> tuple[bytearray, np.ndarray, np.ndarray]:
+    """The term buffer of the distinct terms of a term ``buffer``, sorted; the
+    stable order that sorts all its terms; and which sorted term is a first copy.
 
-    The terms are kept as UTF-8 bytes, which sort as the str terms do, take
-    half the memory of decoded ones and compare faster. A stable sort
-    (timsort) merges ascending runs, such as the terms of one buffer.
+    UTF-8 byte order is str order, so the terms sort as bytes, in passes. A
+    bucket holds the rows whose terms agree so far, and stays open while two
+    of them have bytes left. Each pass sorts the open rows by one unstable
+    argsort of a uint64 key: the bucket's dense id, the next bytes of the
+    term (zero past its end) and, in the low 4 bits, the bytes left, capped at
+    one more than the pass reads, so a term sorts before the longer ones it
+    starts, NUL bytes or not. A pass reads as many bytes as the id leaves room
+    for. A row's rank is the final position of the first row of its bucket, so
+    equal terms share one, and a last argsort keeps them in file order.
     """
-    keys = np.array([key for buf in buffers for key in bytes(buf).split(b"\n")[:-1]], dtype=object)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    packed = io.BytesIO()  # bytes.join would hold an 80-byte buffer record per term
-    packed.writelines(itertools.chain.from_iterable(zip(keys[first], itertools.repeat(b"\n"))))
-    return packed.getvalue(), order, first
+    data = np.frombuffer(buffer, dtype=np.uint8)
+    if data.size < 8:  # the view below reads 8 bytes
+        data = np.append(data, np.zeros(8, dtype=np.uint8))
+    words = np.ndarray((data.size - 7,), ">u8", data, strides=(1,))  # the 8 bytes from each offset
+    index = np.int32 if data.size <= _INT32_MAX else np.int64
+    ends = np.flatnonzero(data == _LF).astype(index)
+    n = ends.size
+    rank = np.zeros(n, dtype=index)
+    rows = np.arange(n, dtype=index)  # the open rows, in their order so far
+    at = rows.copy()  # each open row's final position, were its bucket in order
+    key = np.zeros(n, dtype=np.uint64)  # scratch; each pass starts with the bucket ids
+    width, depth = 7, 0  # the bytes a pass reads, and those read before it
+    while rows.size:
+        pos = np.where(rows > 0, ends[rows - 1] + 1, 0) + depth
+        left = np.minimum(ends[rows] - pos, width + 1).astype(np.uint8)
+        clip = np.minimum(pos, words.size - 1)  # near the end: the last 8 bytes, shifted left
+        word = words[clip] << (8 * (pos - clip)).astype(np.uint64) >> np.uint64(64 - 8 * width)
+        del pos, clip
+        past = 8 * (width - np.minimum(left, width))  # bits read past the term's end
+        part = key[:rows.size]
+        part |= word >> past << past + 4 | left
+        del word, past
+        order = np.argsort(part)
+        part[:] = part[order]
+        rows, more = rows[order], left[order] > width
+        del order, left
+        new = np.ones(rows.size + 1, dtype=bool)  # where a run of equal keys starts, and the end
+        np.not_equal(part[1:], part[:-1], out=new[1:-1])
+        rank[rows] = np.maximum.accumulate(np.where(new[:-1], at, 0))
+        more &= ~(new[:-1] & new[1:])  # a run of one row is in place
+        rows, at, new = rows[more], at[more], new[:-1][more]
+        del more
+        depth += width
+        width = (60 - int(np.count_nonzero(new) - 1).bit_length()) // 8
+        key[:rows.size] = np.cumsum(new, dtype=np.uint64) - np.uint64(1) << np.uint64(8 * width + 4)
+    del key, rows, at
+    order = np.argsort(rank.astype(np.int64) * n + np.arange(n)).astype(index)
+    first = np.diff(rank[order], prepend=-1) != 0
+    del rank
+    packed = bytearray()
+    distinct = order[first]
+    for lo in range(0, distinct.size, _ROWS_PER_CHUNK):
+        packed.extend(_pick(data, ends, distinct[lo:lo + _ROWS_PER_CHUNK]))
+    return packed, order, first
 
 
-def _pack_terms(terms: list[str]) -> bytes:
-    """The term buffer of sorted ``terms``: UTF-8, each term followed by a newline."""
+def _pick(data: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The terms ``rows`` of the term buffer ``data`` whose newlines are at
+    ``ends``, in that order, each followed by its newline."""
+    starts = np.where(rows > 0, ends[rows - 1] + 1, 0)
+    lengths = ends[rows] + 1 - starts
+    # every byte of every chosen term, term after term
+    where = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    where += np.arange(where.size)
+    return data[where]
+
+
+def _count_column(counts: Iterable[int], n: int) -> np.ndarray:
+    """``n`` counts as an int64 column; a count above 2**63 - 1 raises ValidationError."""
+    try:
+        return np.fromiter(counts, dtype=np.int64, count=n)
+    except OverflowError:
+        raise ValidationError("a count exceeds 2**63 - 1") from None
+
+
+def _pack_terms(terms: Collection[str]) -> bytes:
+    """The term buffer of ``terms``: UTF-8, each term followed by a newline."""
     text = "\n".join([*terms, ""])
     if text.count("\n") != len(terms):
-        bad = next(term for term in terms if "\n" in term)
+        bad = min(term for term in terms if "\n" in term)
         raise ValidationError(f"term contains a newline: {bad!r}")
     try:
         return text.encode("utf-8")
@@ -361,18 +408,38 @@ def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:
 
 
 def _tally(token_lists: Iterable[list[str]]) -> TermStatsTable:
-    """The tc/df table of documents given as their token lists."""
-    tc: Counter = Counter()
-    df: Counter = Counter()
+    """The tc/df table of documents given as their token lists.
+
+    One dict gives each term a row the first time it is seen; the rows of
+    every token and of each document's distinct terms are buffered and
+    counted by :func:`_add_rows`, so no second dict of the terms is kept.
+    """
+    rows: dict[str, int] = {}  # term -> its row, in order of first use
+    counts = [np.zeros(0, dtype=np.int64)] * 2  # tc and df
+    buffers = [array("i"), array("i")]  # the rows of every token, and of each document's distinct terms
     n_docs = 0
-    for tokens in token_lists:
-        n_docs += 1
-        tc.update(tokens)
-        df.update(set(tokens))
-    terms = sorted(tc)
-    return TermStatsTable._from_sorted(
-        terms, map(tc.__getitem__, terms), map(df.__getitem__, terms), n_docs
-    )
+    for n_docs, tokens in enumerate(token_lists, 1):
+        distinct = set(tokens)
+        rows.update(zip(distinct.difference(rows), itertools.count(len(rows))))
+        buffers[0].extend(map(rows.__getitem__, tokens))
+        buffers[1].extend(map(rows.__getitem__, distinct))
+        if len(buffers[0]) >= max(len(rows), _TALLY_ROWS):  # a count costs one pass over the rows
+            _add_rows(counts, buffers, len(rows))
+    terms = list(rows)
+    del rows  # the dict and its row numbers go before the columns are counted
+    _add_rows(counts, buffers, len(terms))
+    packed = _pack_terms(terms)
+    del terms  # the sort needs no str of the terms
+    return TermStatsTable._from_unsorted(packed, *counts, n_docs)
+
+
+def _add_rows(counts: list[np.ndarray], buffers: list[array], n: int) -> None:
+    """Add one to each column of ``counts`` for each row in its buffer, as ``n`` rows; empty the buffers."""
+    for k, rows in enumerate(buffers):
+        total = np.bincount(np.frombuffer(rows, dtype=np.intc), minlength=n)
+        total[:counts[k].size] += counts[k]
+        counts[k] = total
+        del rows[:]
 
 
 def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
@@ -386,7 +453,7 @@ def merge(a: TermStatsTable, b: TermStatsTable) -> TermStatsTable:
 def _add_tables(tables: list[TermStatsTable]) -> TermStatsTable:
     """The sum of tables counted over disjoint documents, as :func:`merge` adds two."""
     counts = [table.tc_df_arrays() for table in tables]
-    packed, order, first = _sorted_terms([table._terms for table in tables])
+    packed, order, first = _term_order(b"".join(table._terms for table in tables))
     where = np.empty(len(order), dtype=np.intp)  # each input row's merged row
     where[order] = np.cumsum(first) - 1
     totals = [np.zeros(int(first.sum()), dtype=np.uint64) for _ in range(2)]

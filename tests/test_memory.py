@@ -131,3 +131,24 @@ def test_shuffled_stage_peak_within_budget(stage, shuffled_inputs, tmp_path):
     argv = [arg.format(out=tmp_path, **shuffled_inputs) for arg in args]
     columns = traced_peak(argv) / (N * 8)
     assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
+
+
+# count --jobs 1 on a stream of about N distinct terms. The tally's dict of
+# the terms holds most of the peak, at its last resize; two Counters of the
+# terms took it to 23.8 columns on Python 3.11, and above 23 on 3.10's
+# larger dict entries even when dropped one at a time before the sort.
+@pytest.fixture(scope="module")
+def wide_stream(tmp_path_factory):
+    """A seeded stream of 400 documents of 500 tokens ``w%09d``: about N distinct terms."""
+    numbers = np.random.default_rng(13).integers(0, 10**9, (400, 500)).tolist()
+    path = tmp_path_factory.mktemp("memory") / "wide.txt"
+    path.write_text("".join(" ".join(f"w{k:09d}" for k in doc) + "\n%%DOC%%\n" for doc in numbers),
+                    encoding="utf-8")
+    return path
+
+
+def test_count_peak_within_budget(wide_stream, tmp_path):
+    """``count --jobs 1`` keeps one dict of the terms and frees it before the sort."""
+    columns = traced_peak(["count", "--corpus", str(wide_stream), "--jobs", "1",
+                           "--out", str(tmp_path / "wide.stats")]) / (N * 8)
+    assert columns <= 22.0, f"count peaked at {columns:.2f} int64 columns of n, above 22.0"

@@ -54,6 +54,14 @@ class TestSportsRank:
         with pytest.raises(ValidationError):
             sports_rank([("a", 1), ("a", 2)])
 
+    @pytest.mark.parametrize("term, message", [("a\nb", r"term contains a newline: 'a\\nb'"),
+                                               ("\ud800", r"a term is not valid Unicode \(lone surrogate\)")],
+                             ids=["newline", "lone_surrogate"])
+    def test_terms_a_table_refuses_are_rejected(self, term, message):
+        """A newline would split the exported row in two; a lone surrogate cannot be written."""
+        with pytest.raises(ValidationError, match=message):
+            sports_rank([(term, 2), ("c", 1)])
+
     def test_negative_and_non_integer_values_rejected(self):
         with pytest.raises(ValidationError):
             sports_rank([("a", -1)])
