@@ -134,11 +134,13 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
 
     Blocked so the pair matrices stay cache-sized; usable to a few tens of
     thousands of points, after which :func:`kendall_tau_fast` (which this
-    function exists to check) is the only practical option.
+    function exists to check) is the only practical option. Each of the
+    five pair classes is counted from its own bool mask of a block, and a
+    diagonal block is counted in full: each pair twice, each point once.
 
     The default block grows with n (within fixed bounds) so that the share
-    of wasted work in the half-empty diagonal blocks stays roughly constant
-    across input sizes and measured cost tracks the true pair count.
+    of wasted work in the doubly counted diagonal blocks stays roughly
+    constant across input sizes and measured cost tracks the true pair count.
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
@@ -146,35 +148,20 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
         block = min(_NAIVE_BLOCK, max(256, n // 8))
     if block < 1:
         raise ValidationError(f"block must be >= 1, got {block}")
-    conc = disc = tx = ty = txy = 0
+    # C, D, TX, TY and TXY: off the diagonal blocks, then on them, where each pair is met both ways
+    counts = np.zeros((2, 5), dtype=np.int64)
     for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        xi = xv[i0:i1, None]
-        yi = yv[i0:i1, None]
+        xi, yi = xv[i0:i0 + block, None], yv[i0:i0 + block, None]
         for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            sx = np.sign(xi - xv[None, j0:j1])
-            sy = np.sign(yi - yv[None, j0:j1])
-            if j0 == i0:
-                keep = np.triu(np.ones((i1 - i0, j1 - j0), dtype=bool), k=1)
-            else:
-                keep = None
-            prod = sx * sy
-            x_tied = sx == 0
-            y_tied = sy == 0
-            if keep is None:
-                conc += int((prod > 0).sum())
-                disc += int((prod < 0).sum())
-                tx += int((x_tied & ~y_tied).sum())
-                ty += int((~x_tied & y_tied).sum())
-                txy += int((x_tied & y_tied).sum())
-            else:
-                conc += int(((prod > 0) & keep).sum())
-                disc += int(((prod < 0) & keep).sum())
-                tx += int((x_tied & ~y_tied & keep).sum())
-                ty += int((~x_tied & y_tied & keep).sum())
-                txy += int((x_tied & y_tied & keep).sum())
-    return _counts_to_taus(n, conc, disc, tx, ty, txy)
+            x_gt, x_lt = xi > xv[j0:j0 + block], xi < xv[j0:j0 + block]
+            y_gt, y_lt = yi > yv[j0:j0 + block], yi < yv[j0:j0 + block]
+            x_tied, y_tied = x_gt == x_lt, y_gt == y_lt  # neither greater nor less
+            classes = ((x_gt & y_gt) | (x_lt & y_lt), (x_gt & y_lt) | (x_lt & y_gt),
+                       x_tied > y_tied, y_tied > x_tied, x_tied & y_tied)
+            counts[int(j0 == i0)] += [np.count_nonzero(mask) for mask in classes]
+    off, diagonal = counts.tolist()
+    diagonal[4] -= n  # each point met itself once, tied in both
+    return _counts_to_taus(n, *(c + d // 2 for c, d in zip(off, diagonal)))
 
 
 def kendall_tau_fast(x, y) -> KendallCounts:

@@ -73,8 +73,7 @@ class TermStatsTable:
 
     def __init__(self, terms: bytes | bytearray, tc: np.ndarray, df: np.ndarray | None, doc_count: int):
         self._terms = terms
-        ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
-        self._ends = ends.astype(np.int32) if len(terms) <= _INT32_MAX else ends
+        self._ends = _line_ends(terms)
         df_size = tc.size if df is None else df.size
         if not self._ends.size == tc.size == df_size:
             raise ValidationError(
@@ -238,7 +237,7 @@ class _Keys:
         if first.all():
             return packed, order, None
         row = int(order[~first].min())  # a stable sort puts a term's first row first
-        ends = np.flatnonzero(np.frombuffer(self.terms, dtype=np.uint8) == _LF)
+        ends = _line_ends(self.terms)
         term = self.terms[ends[row - 1] + 1 if row else 0:ends[row]].decode("utf-8")
         line = self._lines[row - ends.size + len(self._lines)]
         return packed, order, layout.duplicate_error(path, line, term, lemma)
@@ -262,8 +261,8 @@ def _term_order(buffer) -> tuple[bytearray, np.ndarray, np.ndarray]:
     if data.size < 8:  # the view below reads 8 bytes
         data = np.append(data, np.zeros(8, dtype=np.uint8))
     words = np.ndarray((data.size - 7,), ">u8", data, strides=(1,))  # the 8 bytes from each offset
-    index = np.int32 if data.size <= _INT32_MAX else np.int64
-    ends = np.flatnonzero(data == _LF).astype(index)
+    ends = _line_ends(buffer)
+    index = ends.dtype
     n = ends.size
     rank = np.zeros(n, dtype=index)
     rows = np.arange(n, dtype=index)  # the open rows, in their order so far
@@ -302,6 +301,19 @@ def _term_order(buffer) -> tuple[bytearray, np.ndarray, np.ndarray]:
     for lo in range(0, distinct.size, _ROWS_PER_CHUNK):
         packed.extend(_pick(data, ends, distinct[lo:lo + _ROWS_PER_CHUNK]))
     return packed, order, first
+
+
+def _line_ends(buffer: bytes | bytearray) -> np.ndarray:
+    """The offsets of the newlines of a term ``buffer``: int32 up to 2**31 - 1
+    bytes, int64 above. Scans a block at a time, so no whole-buffer mask is made."""
+    data = np.frombuffer(buffer, dtype=np.uint8)
+    ends = np.empty(buffer.count(b"\n"), dtype=np.int32 if data.size <= _INT32_MAX else np.int64)
+    found = 0
+    for lo in range(0, data.size, _BLOCK_SIZE):
+        block_ends = np.flatnonzero(data[lo:lo + _BLOCK_SIZE] == _LF)
+        np.add(block_ends, lo, out=ends[found:found + block_ends.size], casting="unsafe")
+        found += block_ends.size
+    return ends
 
 
 def _pick(data: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -582,7 +594,7 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
             rows = None  # the block's rows that the table holds, if not all
             if lemma is not None and lemma.any():  # a list block with lemma rows
                 buf = np.frombuffer(block_terms, dtype=np.uint8)
-                in_lemmas = np.repeat(lemma, np.diff(np.flatnonzero(buf == _LF), prepend=-1))
+                in_lemmas = np.repeat(lemma, np.diff(_line_ends(block_terms), prepend=-1))
                 lemma_keys.add(buf[in_lemmas].tobytes(), lines, lemma)
                 if not keep_lemmatized:
                     lemma_counts.append(counts[0][lemma])
@@ -599,8 +611,8 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
     cols = [np.frombuffer(col, dtype=np.int64)[order] for col in cols]
     if min_count > 1:
         keep = cols[0] >= min_count
-        ends = np.flatnonzero(np.frombuffer(terms, dtype=np.uint8) == _LF)
-        terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, np.diff(ends, prepend=-1))].tobytes()
+        lengths = np.diff(_line_ends(terms), prepend=-1)
+        terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, lengths)].tobytes()
         cols = [col[keep] for col in cols]
     table = TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
     return table, np.concatenate(lemma_counts)

@@ -47,6 +47,20 @@ def random_tied_pairs(rng, max_n=300):
     return x, y
 
 
+def double_loop_counts(x, y):
+    """C, D, TX, TY and TXY of the pairs i < j, each pair compared in Python."""
+    counts = [0] * 5
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            dx = (x[i] > x[j]) - (x[i] < x[j])
+            dy = (y[i] > y[j]) - (y[i] < y[j])
+            if dx and dy:
+                counts[0 if dx == dy else 1] += 1
+            else:
+                counts[2 if dy else 3 if dx else 4] += 1
+    return tuple(counts)
+
+
 class TestSpearman:
     def test_identical_vectors_give_exactly_one(self):
         ranks = [1, 2, 2, 4, 5, 5, 5, 8]
@@ -261,6 +275,31 @@ class TestKendallKernels:
         for block in (1, 3, 17, 1000):
             got = kendall_tau_naive(x, y, block=block)
             assert got == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60), alphabets=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           mid_ranks=st.booleans(), block=st.sampled_from([1, 2, 3, 7, None]))
+    def test_naive_kernel_matches_a_double_loop(self, data, n, alphabets, mid_ranks, block):
+        # a third count, independent of both kernels; blocks below, at and
+        # not dividing n, and the default, which exceeds every n drawn here
+        x, y = (data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)) for top in alphabets)
+        if mid_ranks:  # correlate --fractional feeds float mid-ranks to the kernels
+            x, y = fractional_rank(x).tolist(), fractional_rank(y).tolist()
+        conc, disc, tx, ty, txy = want = double_loop_counts(x, y)
+        try:
+            got = kendall_tau_naive(x, y, block=block)
+        except DegenerateInputError:
+            assert conc + disc + ty == 0 or conc + disc + tx == 0  # every pair tied in x, or in y
+            return
+        assert (got.concordant, got.discordant, got.ties_x, got.ties_y, got.ties_xy) == want
+        assert got.tau_a == (conc - disc) / (n * (n - 1) // 2)
+
+    def test_naive_kernel_compares_values_whose_difference_overflows(self):
+        # 2**62 + 5 - (-2**62 - 5) exceeds int64: the pair must stay concordant
+        x, y = np.array([-2**62 - 5, 2**62 + 5, 0]), np.array([1, 2, 3])
+        got = kendall_tau_naive(x, y)
+        assert (got.concordant, got.discordant) == (2, 1)
+        assert got == kendall_tau_fast(x, y)
 
     def test_entirely_tied_vector_rejected(self):
         for kernel in (kendall_tau_naive, kendall_tau_fast):

@@ -27,7 +27,7 @@ BUDGETS = {
     "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 7.5),
     "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 8.0),
     "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 7.0),
-    "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 6.0),
+    "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 5.3),
 }
 
 
@@ -76,8 +76,8 @@ def test_stage_peak_within_budget(stage, tied_table, tmp_path):
 # block reader holds the list's table and the lemma rows' counts; the line
 # loop held a set of every surface term, near 16 columns with --keep-lemmatized.
 LIST_BUDGETS = {
-    "ffreq_freq_list": ([], 5.5),
-    "ffreq_freq_list_keep_lemmatized": (["--keep-lemmatized"], 5.5),
+    "ffreq_freq_list": ([], 4.5),
+    "ffreq_freq_list_keep_lemmatized": (["--keep-lemmatized"], 4.5),
 }
 
 
@@ -100,6 +100,22 @@ def test_list_stage_peak_within_budget(stage, lemma_list, tmp_path):
     argv = ["ffreq", "--freq-list", str(lemma_list), *flags, "--out", str(tmp_path / "ffreq.tsv")]
     columns = traced_peak(argv) / (N * 8)
     assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
+
+
+@pytest.fixture(scope="module")
+def tied_ngrams(tmp_path_factory):
+    """The N rows of the tied table as an n-gram file: ``token<TAB>tc``."""
+    tc, _ = tied_counts()
+    path = tmp_path_factory.mktemp("memory") / "tied.ngram"
+    path.write_text("".join(f"t{i:07d}\t{count}\n" for i, count in enumerate(tc.tolist())), encoding="utf-8")
+    return path
+
+
+def test_ngram_min_count_peak_within_budget(tied_ngrams, tmp_path):
+    """The ``--min-count`` cut finds the kept terms' bytes without an int64 index of every newline."""
+    columns = traced_peak(["ffreq", "--ngram", str(tied_ngrams), "--min-count", "3",
+                           "--out", str(tmp_path / "ffreq.tsv")]) / (N * 8)
+    assert columns <= 5.4, f"ffreq --ngram --min-count peaked at {columns:.2f} int64 columns of n, above 5.4"
 
 
 # Stages of out-of-order input -> peak bound in int64 columns of n. The

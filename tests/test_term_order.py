@@ -4,14 +4,17 @@ The oracle splits the buffer into one ``bytes`` per term, argsorts them
 stably as a numpy object array, marks each first copy and joins the
 distinct terms again. The terms mix 1- to 4-byte UTF-8 characters, NUL
 among them, and share prefixes of 7, 8, 11 and 12 bytes, around the
-widths that a pass reads.
+widths that a pass reads. ``stats._line_ends``, which finds the newlines
+of every term buffer, is checked against one whole-buffer scan.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpusstats.stats import _term_order
+from corpusstats import stats
+from corpusstats.stats import _line_ends, _term_order
 
 ALPHABET = "\0é€𝄞"
 PREFIXES = ["", "\0€€", "𝄞𝄞", "𝄞€éé", "€€€€"]  # 0, 7, 8, 11 and 12 bytes
@@ -67,3 +70,18 @@ def test_many_open_buckets():
     buffer = "".join(rows).encode()
     assert len(set(rows)) < len(rows)  # repeats
     check(buffer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_buffers())
+@example(b"")
+@example(b"\n\n")
+def test_line_ends_match_one_whole_buffer_scan(buffer):
+    want = np.flatnonzero(np.frombuffer(buffer, dtype=np.uint8) == ord("\n")).tolist()
+    for size in (1, 3, 8, stats._BLOCK_SIZE):  # blocks that cut terms, newlines at their edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_BLOCK_SIZE", size)
+            for data in (buffer, bytearray(buffer)):
+                ends = _line_ends(data)
+                assert ends.dtype == np.int32
+                assert ends.tolist() == want
