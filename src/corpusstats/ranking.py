@@ -8,13 +8,13 @@ mid-ranks and Kendall's tie counts all come from :func:`_runs`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import FrequencyListEntry, write_utf8
-from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable
+from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable, _check_fields, _encode_rows, _pick
 
 
 class RankedList:
@@ -27,10 +27,9 @@ class RankedList:
     yields (term, value, rank) tuples, decoding one chunk of rows at a time.
     """
 
-    def __init__(self, terms_at: Callable[[np.ndarray], list[str]], rows: np.ndarray,
-                 values: np.ndarray, ranks: np.ndarray):
-        self._terms_at = terms_at  # the terms of source rows, in the order given
-        self._rows = rows  # the source row of each position
+    def __init__(self, table: TermStatsTable, rows: np.ndarray, values: np.ndarray, ranks: np.ndarray):
+        self._table = table  # the source of the terms
+        self._rows = rows  # the table row of each position
         self.values = values
         self.ranks = ranks
 
@@ -43,7 +42,7 @@ class RankedList:
 
     def terms_at(self, positions) -> list[str]:
         """The terms at the presentation ``positions`` (indices or a slice), in order."""
-        return self._terms_at(self._rows[positions])
+        return self._table.terms_at(self._rows[positions])
 
     def __iter__(self) -> Iterator[tuple[str, int, int]]:
         for lo in range(0, len(self), _ROWS_PER_CHUNK):
@@ -135,7 +134,7 @@ def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
         return FrequencyListEntry(term, int(value))
 
     table = TermStatsTable.from_entries(entry(term, value) for term, value in pairs)
-    return _rank_sorted_rows(table.count_arrays()[0], table.terms_at)
+    return _rank_sorted_rows(table.count_arrays()[0], table)
 
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
@@ -146,21 +145,19 @@ def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     if len(table) == 0:
         raise ValidationError("empty table: nothing to rank")
     column = table.count_arrays()[0] if by == "tc" else table.tc_df_arrays()[1]
-    return _rank_sorted_rows(column, table.terms_at)
+    return _rank_sorted_rows(column, table)
 
 
-def _rank_sorted_rows(values: np.ndarray, terms_at) -> RankedList:
-    """Competition-rank term-sorted rows into presentation order.
-
-    ``terms_at(order)`` gives the terms of the rows ``order`` names. The
-    stable sort on -value keeps tied terms in ascending term order.
+def _rank_sorted_rows(values: np.ndarray, table: TermStatsTable) -> RankedList:
+    """Competition-rank the rows of ``table``, whose values are ``values``, into
+    presentation order. The stable sort on -value keeps tied terms in ascending term order.
     """
     order = np.argsort(-values, kind="stable")
     if order.size <= _INT32_MAX:
         order = order.astype(np.int32)  # the list keeps these rows: half the bytes
     ordered = values[order]
     starts, lengths = _runs(ordered)
-    return RankedList(terms_at, order, ordered, np.repeat(starts + 1, lengths))
+    return RankedList(table, order, ordered, np.repeat(starts + 1, lengths))
 
 
 def ranking_overlap(
@@ -226,8 +223,14 @@ def align_ranks(table: TermStatsTable) -> AlignedRanks:
 
 def write_ranked_list(ranked: RankedList, path) -> None:
     """Export ``term<TAB>value<TAB>rank`` rows in presentation order."""
+    table = ranked._table
+    _check_fields(table)
+    data = np.frombuffer(table._terms, dtype=np.uint8)
     with write_utf8(path) as fh:
-        fh.writelines(f"{term}\t{value}\t{rank}\n" for term, value, rank in ranked)
+        for lo in range(0, len(ranked), _ROWS_PER_CHUNK):
+            chunk = slice(lo, lo + _ROWS_PER_CHUNK)
+            terms = _pick(data, table._ends, ranked._rows[chunk])
+            fh.buffer.write(_encode_rows([ranked.values[chunk], ranked.ranks[chunk]], terms))
 
 
 def write_rank_scatter(aligned: AlignedRanks, path) -> None:
@@ -240,5 +243,4 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     with write_utf8(path) as fh:
         for lo in range(0, order.size, _ROWS_PER_CHUNK):
             rows = order[lo:lo + _ROWS_PER_CHUNK]  # gathered a chunk at a time, not sorted whole
-            pairs = zip(aligned.tc_ranks[rows].tolist(), aligned.df_ranks[rows].tolist())
-            fh.writelines(f"{tc_rank}\t{df_rank}\n" for tc_rank, df_rank in pairs)
+            fh.buffer.write(_encode_rows([aligned.tc_ranks[rows], aligned.df_ranks[rows]]))

@@ -44,7 +44,7 @@ from .ingest import (
     write_utf8,
 )
 
-_ROWS_PER_CHUNK = 1 << 13  # rows a writer converts to Python values at a time
+_ROWS_PER_CHUNK = 1 << 13  # rows a writer encodes, or a term reader decodes, at a time
 _TALLY_ROWS = 1 << 16  # token rows the tally buffers at least before it counts them
 _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
 _MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
@@ -145,15 +145,7 @@ class TermStatsTable:
 
     def terms(self) -> list[str]:
         """All stored terms in sorted order, decoded into a new list on every call."""
-        return self.terms_between(0, len(self))
-
-    def terms_between(self, lo: int, hi: int) -> list[str]:
-        """The terms of rows ``lo`` to ``hi - 1``, decoded from one slice of the buffer."""
-        hi = min(hi, len(self))
-        if lo >= hi:
-            return []
-        start = int(self._ends[lo - 1]) + 1 if lo else 0
-        return str(memoryview(self._terms)[start:int(self._ends[hi - 1])], "utf-8").split("\n")
+        return str(self._terms, "utf-8").split("\n")[:-1]  # the last is empty: after the final newline
 
     def terms_at(self, rows: np.ndarray) -> list[str]:
         """The terms of the row indices ``rows``, in that order.
@@ -507,15 +499,55 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
 def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
     tc, df = table.tc_df_arrays()
+    _check_fields(table)
+    data = np.frombuffer(table._terms, dtype=np.uint8)
+    with write_utf8(path) as fh:
+        fh.buffer.write(b"#N=%d\n" % table.doc_count)
+        for lo in range(0, len(table), _ROWS_PER_CHUNK):
+            hi = min(lo + _ROWS_PER_CHUNK, len(table))
+            terms = data[int(table._ends[lo - 1]) + 1 if lo else 0:int(table._ends[hi - 1]) + 1]
+            fh.buffer.write(_encode_rows([tc[lo:hi], df[lo:hi]], terms))
+
+
+def _check_fields(table: TermStatsTable) -> None:
+    """Refuse a table with a term that would not read back as one field (:func:`check_field`)."""
     if b"\t" in table._terms or b"\r" in table._terms:
         for term in table.terms():
             check_field(term)
-    with write_utf8(path) as fh:
-        fh.write(f"#N={table.doc_count}\n")
-        for lo in range(0, len(table), _ROWS_PER_CHUNK):
-            hi = lo + _ROWS_PER_CHUNK
-            rows = zip(table.terms_between(lo, hi), tc[lo:hi].tolist(), df[lo:hi].tolist())
-            fh.writelines(f"{term}\t{tc_i}\t{df_i}\n" for term, tc_i, df_i in rows)
+
+
+def _encode_rows(columns: list[np.ndarray], terms: np.ndarray | None = None) -> bytes:
+    """One chunk of rows as UTF-8: each row's term, if ``terms`` is given, then
+    its value in each of ``columns``, tab-separated and ended by a newline.
+
+    ``columns`` are non-negative int64 arrays of one length; ``terms`` is a
+    uint8 term buffer of as many terms, each followed by its newline, which
+    becomes the tab after it. The digits go in one decimal place per pass;
+    a place that a narrower value lacks goes to one spare byte at the end.
+    """
+    widths = [np.searchsorted(_POW10, column.view(np.uint64), side="right").clip(1) for column in columns]
+    term_lengths = 0 if terms is None else np.diff(np.flatnonzero(terms == _LF), prepend=-1)
+    lengths = sum(widths) + len(columns) + term_lengths  # a tab or newline follows each value
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(int(lengths.sum()) + 1, dtype=np.uint8)
+    spare = out.size - 1
+    at = starts + term_lengths  # where each row's next field starts
+    if terms is not None:
+        where = np.repeat(starts - np.cumsum(term_lengths) + term_lengths, term_lengths)
+        where += np.arange(where.size)
+        out[where] = terms
+        out[at - 1] = _TAB
+    ten = np.uint64(10)
+    for k, (column, width) in enumerate(zip(columns, widths)):
+        value, last = column.view(np.uint64), at + width - 1
+        for place in range(int(width.max(initial=1))):
+            quotient = value // ten  # by a scalar numpy divides with a multiply, unlike divmod
+            digit = (value - quotient * ten).astype(np.uint8)
+            out[np.where(place < width, last - place, spare)] = digit + _ZERO
+            value = quotient
+        at = last + 2
+        out[at - 1] = _LF if k == len(columns) - 1 else _TAB
+    return out[:spare].tobytes()
 
 
 def read_stats(path) -> TermStatsTable:

@@ -563,19 +563,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "no" / "such" / "dir.tsv")]) == 3
 
     def test_failed_write_keeps_the_old_output(self, song_stats_file, tmp_path, monkeypatch):
-        ranked_by = ranking.ranked_by
+        encode_rows = ranking._encode_rows
+        calls = []
 
-        def disk_full_after_one_row(table, by):
-            yield from list(ranked_by(table, by))[:1]
-            raise OSError(28, "No space left on device")
+        def disk_full_after_one_row(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return encode_rows(*args)
 
-        monkeypatch.setattr(ranking, "ranked_by", disk_full_after_one_row)
+        monkeypatch.setattr(ranking, "_ROWS_PER_CHUNK", 1)
+        monkeypatch.setattr(ranking, "_encode_rows", disk_full_after_one_row)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         out = out_dir / "ranked.tsv"
         out.write_bytes(b"old output\n")
         assert main(["rank", "--stats", str(song_stats_file), "--by", "tc",
                      "--out", str(out)]) == 3
+        assert len(calls) == 2  # one row was written before the fault
         assert list(out_dir.iterdir()) == [out]
         assert out.read_bytes() == b"old output\n"
 

@@ -209,6 +209,13 @@ class TestExports:
             "a\t10\t1\nb\t7\t2\nc\t7\t2\nd\t3\t4\n"
         )
 
+    @pytest.mark.parametrize("term", ["a\tb", "c\rd"])
+    def test_ranked_list_refuses_a_term_that_would_split_its_row(self, term, tmp_path):
+        ranked = sports_rank([(term, 2), ("e", 1)])
+        with pytest.raises(ValidationError):
+            write_ranked_list(ranked, tmp_path / "ranked.tsv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_scatter_file_layout(self, song_table, tmp_path):
         path = tmp_path / "scatter.tsv"
         write_rank_scatter(align_ranks(song_table), path)
