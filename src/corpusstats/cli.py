@@ -21,8 +21,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import correlation, lexsig, ranking, ratio, stats
 from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError
@@ -304,20 +302,18 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
     if args.curve_out is not None and os.path.realpath(args.out) == os.path.realpath(args.curve_out):
         raise UsageError("--out and --curve-out name the same file")
     tc, df, _ = stats.read_stats_columns(args.stats_path)
-    if args.fractional:
-        x = ranking.fractional_rank(tc)
-        y = ranking.fractional_rank(df)
-    else:
-        x = ranking.rank_values(tc)
-        y = ranking.rank_values(df)
+    x = ranking.rank_values(tc)
+    y = ranking.rank_values(df)
     del tc, df  # each n-row array is held only while a later step reads it
-    report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic)
+    # mid-ranks keep the order and the ties of the ranks they come from
+    rerank = ranking._mid_ranks if args.fractional else (lambda r: r)
+    report = correlation.correlation_report(rerank(x), rerank(y), diagnostic_shortcut=args.diagnostic)
     points = None
     if args.curve_out is not None:
-        order = np.lexsort((y, x))
-        x = x[order]
-        y = y[order]
-        del order
+        keys, span = ranking._sorted_pair_keys(x, y)  # after the report, so never beside its arrays
+        del x, y
+        x, y = rerank(keys // span), rerank(keys % span)
+        del keys
         with warnings.catch_warnings(record=True) as skipped:  # degenerate prefixes
             warnings.simplefilter("always")
             points = correlation.prefix_correlation_curve(x, y, args.checkpoints)

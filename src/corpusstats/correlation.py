@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .ingest import write_utf8
-from .ranking import _as_vector, _runs
+from .ranking import _as_vector, _runs, _sorted_pair_keys
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -183,7 +183,7 @@ def kendall_tau_fast(x, y) -> KendallCounts:
     if n_x * n_y <= _HISTOGRAM_CELLS_PER_PAIR * n:
         disc, tie_xy = _histogram_counts(x_code, y_code, n_x, n_y)
     else:
-        disc, tie_xy = _merge_counts(x_code, y_code, n_y)
+        disc, tie_xy = _merge_counts(x_code, y_code)
     tie_x = _tied_pairs(x_lengths)
     tie_y = _tied_pairs(y_lengths)
     conc = n * (n - 1) // 2 - tie_x - tie_y + tie_xy - disc
@@ -195,7 +195,8 @@ def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     how often each distinct value occurs, in ascending value order.
 
     Integers in [0, n], such as ranks, are coded from their counts with no
-    sort.
+    sort. Any other values, such as mid-ranks, are sorted once and coded by
+    their runs of equal values.
     """
     n = values.size
     if values.dtype.kind == "i" and n and values.min() >= 0 and values.max() <= n:
@@ -204,8 +205,11 @@ def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         code_of = np.cumsum(present)
         code_of -= 1
         return code_of[values], counts[present]
-    _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return codes, counts
+    order = np.argsort(values)
+    _, lengths = _runs(values[order])
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.repeat(np.arange(lengths.size), lengths)
+    return codes, lengths
 
 
 def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
@@ -232,12 +236,12 @@ def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
     return disc, tie_xy
 
 
-def _merge_counts(x_code: np.ndarray, y_code: np.ndarray, n_y: int) -> tuple[int, int]:
-    """Discordant pairs and pairs tied in both, from one sort on the combined key."""
-    key = x_code * n_y + y_code
-    order = np.argsort(key)
-    _, xy_lengths = _runs(key[order])
-    return _count_strict_inversions(y_code[order]), _tied_pairs(xy_lengths)
+def _merge_counts(x_code: np.ndarray, y_code: np.ndarray) -> tuple[int, int]:
+    """Discordant pairs and pairs tied in both, from one sort of the pair keys."""
+    keys, span = _sorted_pair_keys(x_code, y_code)
+    _, xy_lengths = _runs(keys)
+    keys %= span  # the y codes in (x, y) order
+    return _count_strict_inversions(keys), _tied_pairs(xy_lengths)
 
 
 def _tied_pairs(run_lengths: np.ndarray) -> int:

@@ -89,6 +89,20 @@ def _runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=n)
 
 
+def _competition_ranks(v: np.ndarray) -> np.ndarray:
+    """Competition rank of each entry of a vector from :func:`_as_vector`, by value descending."""
+    order = np.argsort(~v if v.dtype.kind == "i" else -v)  # ~v is -v - 1 and never wraps
+    starts, lengths = _runs(v[order])  # tied entries get one rank in any order
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[order] = np.repeat(starts + 1, lengths)
+    return ranks
+
+
+def _mid_ranks(ranks: np.ndarray) -> np.ndarray:
+    """Mid-ranks from competition ranks: a tie group of L entries at rank r holds r .. r+L-1."""
+    return ranks + (np.bincount(ranks)[ranks] - 1) / 2
+
+
 def rank_values(values) -> np.ndarray:
     """Competition rank of each entry of a non-negative integer vector.
 
@@ -97,25 +111,32 @@ def rank_values(values) -> np.ndarray:
     v = _as_vector(values, "values")
     if v.size and (v.dtype.kind == "f" or v.min() < 0):
         raise ValidationError("values must be non-negative integers")
-    order = np.argsort(-v)  # tied entries get one rank in any order
-    starts, lengths = _runs(v[order])
-    ranks = np.empty(v.size, dtype=np.int64)
-    ranks[order] = np.repeat(starts + 1, lengths)
-    return ranks
+    return _competition_ranks(v)
 
 
 def fractional_rank(values) -> np.ndarray:
     """Mid-rank (average) ranks, descending: each tie group gets the mean
-    of the positions it occupies. Useful as an alternative re-ranking in
-    front of the correlation functions; rankings elsewhere in the package
-    stay competition-style.
+    of the positions it occupies: its competition rank plus (L - 1) / 2 for
+    a group of L. Useful as an alternative re-ranking in front of the
+    correlation functions; rankings elsewhere in the package stay
+    competition-style.
     """
-    v = _as_vector(values, "values")
-    order = np.argsort(-v)  # tied entries get one rank in any order
-    starts, lengths = _runs(v[order])
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat(starts + (lengths + 1) / 2, lengths)
-    return ranks
+    return _mid_ranks(_competition_ranks(_as_vector(values, "values")))
+
+
+def _sorted_pair_keys(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The (x, y) pairs of two non-negative integer vectors as keys x * span + y,
+    sorted ascending, and span, the largest y + 1: a key's x is ``key // span``
+    and its y ``key % span``. The one code that orders rank pairs.
+    """
+    span = int(y.max()) + 1 if y.size else 1
+    if y.size and (min(x.min(), y.min()) < 0 or (int(x.max()) + 1) * span > 2**63):
+        raise ValidationError("pair keys need non-negative values whose keys fit in int64")
+    keys = x.astype(np.int64)
+    keys *= span
+    keys += y
+    keys.sort()
+    return keys, span
 
 
 def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
@@ -237,10 +258,9 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     """Export ``rank_tc<TAB>rank_df`` rows, sorted by (rank_tc, rank_df).
 
     One row per term; terms themselves are omitted, matching what a
-    scatter plot of the two rankings needs.
+    scatter plot of the two rankings needs. A negative rank is refused.
     """
-    order = np.lexsort((aligned.df_ranks, aligned.tc_ranks))
+    keys, span = _sorted_pair_keys(aligned.tc_ranks, aligned.df_ranks)
     with write_utf8(path) as fh:
-        for lo in range(0, order.size, _ROWS_PER_CHUNK):
-            rows = order[lo:lo + _ROWS_PER_CHUNK]  # gathered a chunk at a time, not sorted whole
-            fh.buffer.write(_encode_rows([aligned.tc_ranks[rows], aligned.df_ranks[rows]]))
+        for lo in range(0, keys.size, _ROWS_PER_CHUNK):
+            fh.buffer.write(_encode_rows(np.divmod(keys[lo:lo + _ROWS_PER_CHUNK], span)))

@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corpusstats
-from corpusstats import ranking, ratio, read_stats
+from corpusstats import (TermStatsTable, cli, correlation_report, fractional_rank, prefix_correlation_curve,
+                         ranking, ratio, read_stats, write_stats)
 from corpusstats.cli import main
+from corpusstats.correlation import write_curve
 from corpusstats.ingest import UTF8_BOM
 from conftest import SONG_TITLES
 
@@ -172,6 +176,32 @@ class TestCorrelate:
         # mid-ranks change rho but tau is rank-order invariant
         assert rows["kendall_tau_b"] == "0.5547001962252291"
         assert rows["spearman_rho"] != "0.6225430174794672"
+
+    @pytest.mark.parametrize("fmt, diagnostic", [("tsv", False), ("json", True)])
+    def test_fractional_equals_mid_ranks_ordered_by_lexsort(self, fmt, diagnostic, tmp_path):
+        rng = np.random.default_rng(17)
+        flags = ["--fractional", "--format", fmt] + (["--diagnostic"] if diagnostic else [])
+        # few distinct counts take the histogram kernel, many the merge kernel
+        for n, distinct in ((60, 4), (60, 60), (400, 15), (400, 400)):
+            tc = rng.integers(1, distinct + 1, n)
+            df = np.minimum(tc, rng.integers(1, distinct + 1, n))
+            table = TermStatsTable.from_mapping(
+                {f"t{i:03d}": (int(a), int(b)) for i, (a, b) in enumerate(zip(tc, df))}, int(df.max()))
+            write_stats(table, tmp_path / "t.stats")
+            checkpoints = [2, 10, n // 2, n]
+            run_ok(["correlate", "--stats", str(tmp_path / "t.stats"), "--out", str(tmp_path / "r"),
+                    "--curve-out", str(tmp_path / "c"), "--checkpoints", ",".join(map(str, checkpoints)),
+                    *flags])
+            x, y = (fractional_rank(column) for column in table.tc_df_arrays())
+            report = correlation_report(x, y, diagnostic_shortcut=diagnostic)
+            order = np.lexsort((y, x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a degenerate prefix is skipped
+                points = prefix_correlation_curve(x[order], y[order], checkpoints)
+            cli._write_report(cli._report_rows(report), tmp_path / "want_r", fmt)
+            write_curve(points, tmp_path / "want_c")
+            assert (tmp_path / "r").read_bytes() == (tmp_path / "want_r").read_bytes()
+            assert (tmp_path / "c").read_bytes() == (tmp_path / "want_c").read_bytes()
 
     def test_curve_output(self, song_stats_file, tmp_path):
         report = tmp_path / "r.tsv"

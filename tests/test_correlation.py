@@ -141,9 +141,17 @@ class TestFractionalRank:
         rng = np.random.default_rng(5)
         for _ in range(100):
             n = int(rng.integers(1, 150))
-            v = rng.integers(0, max(1, n // 2), n)
-            want = sps.rankdata(-v, method="average")
-            assert np.allclose(fractional_rank(v), want)
+            half = max(1, n // 2)
+            # tied non-negative and negative integers, tied floats and untied floats
+            for v in (rng.integers(0, half, n), rng.integers(-half, half, n),
+                      rng.integers(-half, half, n) / 4, rng.normal(size=n)):
+                want = sps.rankdata(-v, method="average")
+                assert np.array_equal(fractional_rank(v), want)
+
+    def test_the_least_int64_ranks_last(self):
+        # -v wraps at -2**63 and would put it first
+        assert fractional_rank([-2**63, 0, 5]).tolist() == [3.0, 2.0, 1.0]
+        assert fractional_rank([2**63 - 1, -2**63, -2**63]).tolist() == [1.0, 2.5, 2.5]
 
     def test_empty(self):
         assert fractional_rank([]).size == 0
@@ -238,12 +246,15 @@ class TestKendallKernels:
             x_code = rng.permutation(np.append(np.arange(n_x), rng.integers(0, n_x, n - n_x)))
             y_code = rng.permutation(np.append(np.arange(n_y), rng.integers(0, n_y, n - n_y)))
             assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (
-                correlation._merge_counts(x_code, y_code, n_y)
+                correlation._merge_counts(x_code, y_code)
             )
-            # competition ranks take the counting-sort coding, mid-ranks np.unique's
-            for x, y in ((rank_values(x_code), rank_values(y_code)),
-                         (fractional_rank(x_code), fractional_rank(y_code))):
-                for values, want in ((x, -x_code), (y, -y_code)):
+            # competition ranks take the counting-sort coding; mid-ranks, other
+            # floats and integers outside [0, n] take the sort-and-runs coding
+            for x, y, sign in ((rank_values(x_code), rank_values(y_code), -1),
+                               (fractional_rank(x_code), fractional_rank(y_code), -1),
+                               (x_code * 0.37 - 5, y_code * 1.9 + 0.1, 1),
+                               (x_code * 1000 - 7, y_code * 1000 - 7, 1)):
+                for values, want in ((x, sign * x_code), (y, sign * y_code)):
                     codes, lengths = correlation._dense_codes(values)
                     _, want_codes, want_lengths = np.unique(want, return_inverse=True,
                                                             return_counts=True)
@@ -256,17 +267,17 @@ class TestKendallKernels:
     def test_counters_on_empty_and_one_group_codes(self):
         empty = np.zeros(0, dtype=np.int64)
         assert correlation._histogram_counts(empty, empty, 0, 0) == (0, 0)
-        assert correlation._merge_counts(empty, empty, 0) == (0, 0)
+        assert correlation._merge_counts(empty, empty) == (0, 0)
         one_group = np.zeros(5, dtype=np.int64)
         spread = np.array([3, 0, 4, 1, 2])
         for x_code, y_code, n_x, n_y in ((one_group, one_group, 1, 1), (one_group, spread, 1, 5),
                                          (spread, one_group, 5, 1)):
             tied_both = 10 if n_x == n_y else 0  # all 5 * 4 / 2 pairs, or none
             assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (0, tied_both)
-            assert correlation._merge_counts(x_code, y_code, n_y) == (0, tied_both)
+            assert correlation._merge_counts(x_code, y_code) == (0, tied_both)
         up = np.arange(5)
         assert correlation._histogram_counts(up, up[::-1], 5, 5) == (10, 0)
-        assert correlation._merge_counts(up, up[::-1], 5) == (10, 0)
+        assert correlation._merge_counts(up, up[::-1]) == (10, 0)
 
     def test_naive_block_size_is_irrelevant(self):
         rng = np.random.default_rng(13)

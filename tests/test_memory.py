@@ -24,6 +24,9 @@ BUDGETS = {
     "correlate": (["correlate", "--out", "{out}/report.tsv"], 8.0),
     "correlate_curve": (["correlate", "--out", "{out}/report.tsv", "--curve-out", "{out}/curve.tsv",
                          "--checkpoints", "1000,10000,100000,200000"], 8.0),
+    "correlate_fractional_curve": (["correlate", "--fractional", "--out", "{out}/report.tsv",
+                                    "--curve-out", "{out}/curve.tsv",
+                                    "--checkpoints", "1000,10000,100000,200000"], 8.5),
     "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 7.5),
     "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 8.0),
     "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 7.0),

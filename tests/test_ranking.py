@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corpusstats import (
+    AlignedRanks,
     TermStatsTable,
     ValidationError,
     align_ranks,
@@ -14,6 +15,7 @@ from corpusstats import (
     write_rank_scatter,
     write_ranked_list,
 )
+from corpusstats import ranking
 from conftest import (
     RANKS_101_120_DF,
     RANKS_101_120_TC,
@@ -225,3 +227,33 @@ class TestExports:
         assert pairs == sorted(pairs)
         assert pairs[0] == (1, 4)   # the tc-rank-1 term
         assert pairs.count((6, 4)) == 7
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3])
+    def test_scatter_pairs_follow_lexsort(self, rows_per_chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(ranking, "_ROWS_PER_CHUNK", rows_per_chunk)
+        rng = np.random.default_rng(rows_per_chunk)
+        cases = []
+        for n, distinct in ((1, 1), (2, 1), (7, 3), (50, 6), (50, 50)):
+            tc = rng.integers(1, distinct + 1, n)
+            df = np.minimum(tc, rng.integers(1, distinct + 1, n))
+            table = TermStatsTable.from_mapping(
+                {f"t{i:03d}": (int(a), int(b)) for i, (a, b) in enumerate(zip(tc, df))}, int(df.max()))
+            cases.append(align_ranks(table))
+        # a hand-built pair of rankings whose ranks exceed n; the keys' span comes from the data
+        cases.append(AlignedRanks(table, rng.integers(1, 10**9, 50), rng.integers(1, 10**9, 50)))
+        cases.append(AlignedRanks(table, rng.integers(1, 4, 50) * 10**6, rng.integers(1, 4, 50)))
+        path = tmp_path / "scatter.tsv"
+        for aligned in cases:
+            write_rank_scatter(aligned, path)
+            order = np.lexsort((aligned.df_ranks, aligned.tc_ranks))
+            pairs = zip(aligned.tc_ranks[order].tolist(), aligned.df_ranks[order].tolist())
+            assert path.read_text(encoding="utf-8") == "".join(f"{x}\t{y}\n" for x, y in pairs)
+
+    @pytest.mark.parametrize("tc_ranks, df_ranks", [([1, -2], [1, 2]), ([1, 2], [-1, 2]),
+                                                    ([2**32, 1], [1, 2**31])],
+                             ids=["negative_tc", "negative_df", "keys_beyond_int64"])
+    def test_scatter_refuses_pairs_it_cannot_key(self, tc_ranks, df_ranks, song_table, tmp_path):
+        aligned = AlignedRanks(song_table, np.array(tc_ranks), np.array(df_ranks))
+        with pytest.raises(ValidationError):
+            write_rank_scatter(aligned, tmp_path / "scatter.tsv")
+        assert list(tmp_path.iterdir()) == []
