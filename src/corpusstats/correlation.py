@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .ingest import write_utf8
-from .ranking import _as_vector, _runs, _sorted_pair_keys
+from .ranking import _as_vector, _competition_ranks, _runs, _sorted_pair_keys
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -167,7 +167,8 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
 def kendall_tau_fast(x, y) -> KendallCounts:
     """Pair counting from dense codes, near O(n log n); handles tens of millions.
 
-    Codes x and y densely (their tie counts come with the codes). When the
+    Codes x and y densely by counting (a side that is not ranks is ranked
+    first), and takes each side's tied pairs from the same counts. When the
     (x code, y code) histogram has at most 4 cells per pair, as on heavily
     tied rank data, the discordant pairs and the pairs tied in both come
     from that histogram; otherwise from one sort on the combined key
@@ -177,39 +178,35 @@ def kendall_tau_fast(x, y) -> KendallCounts:
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
-    x_code, x_lengths = _dense_codes(xv)
-    y_code, y_lengths = _dense_codes(yv)
-    n_x, n_y = x_lengths.size, y_lengths.size
+    x_code, n_x, tie_x = _dense_codes(xv)
+    y_code, n_y, tie_y = _dense_codes(yv)
     if n_x * n_y <= _HISTOGRAM_CELLS_PER_PAIR * n:
         disc, tie_xy = _histogram_counts(x_code, y_code, n_x, n_y)
     else:
         disc, tie_xy = _merge_counts(x_code, y_code)
-    tie_x = _tied_pairs(x_lengths)
-    tie_y = _tied_pairs(y_lengths)
     conc = n * (n - 1) // 2 - tie_x - tie_y + tie_xy - disc
     return _counts_to_taus(n, conc, disc, tie_x - tie_xy, tie_y - tie_xy, tie_xy)
 
 
-def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The code 0..k-1 of each value's rank among the k distinct values, and
-    how often each distinct value occurs, in ascending value order.
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The code 0..k-1 of each value's rank among the k distinct values, k,
+    and the number of pairs of equal values.
 
     Integers in [0, n], such as ranks, are coded from their counts with no
-    sort. Any other values, such as mid-ranks, are sorted once and coded by
-    their runs of equal values.
+    sort. Any other values, such as mid-ranks, are first mapped to n minus
+    their competition rank, integers in [0, n) in the same order and with
+    the same ties, and coded from those counts.
     """
     n = values.size
-    if values.dtype.kind == "i" and n and values.min() >= 0 and values.max() <= n:
-        counts = np.bincount(values)
-        present = counts > 0
-        code_of = np.cumsum(present)
-        code_of -= 1
-        return code_of[values], counts[present]
-    order = np.argsort(values)
-    _, lengths = _runs(values[order])
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = np.repeat(np.arange(lengths.size), lengths)
-    return codes, lengths
+    if not (values.dtype.kind == "i" and n and values.min() >= 0 and values.max() <= n):
+        values = _competition_ranks(values)
+        np.subtract(n, values, out=values)
+    counts = np.bincount(values)
+    tied = _tied_pairs(counts)
+    present = counts > 0
+    code_of = np.cumsum(present, out=counts)  # the counts are read, so their array takes the codes
+    code_of -= 1
+    return code_of[values], int(code_of[-1]) + 1, tied
 
 
 def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
@@ -227,7 +224,7 @@ def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
     key += y_code
     hist = np.bincount(key, minlength=n_x * n_y).reshape(n_x, n_y)
     del key  # n cells, freed before the walk
-    tie_xy = (int(np.vdot(hist, hist)) - x_code.size) // 2  # the sum of h*(h-1)/2 over cells
+    tie_xy = _tied_pairs(hist)
     disc = 0
     at_most = np.zeros(n_y, dtype=np.int64)  # points of earlier groups with y code <= b
     for row in hist:
@@ -244,13 +241,13 @@ def _merge_counts(x_code: np.ndarray, y_code: np.ndarray) -> tuple[int, int]:
     return _count_strict_inversions(keys), _tied_pairs(xy_lengths)
 
 
-def _tied_pairs(run_lengths: np.ndarray) -> int:
-    """Sum of L*(L-1)/2 over runs of equal values of lengths L."""
-    return int((run_lengths * (run_lengths - 1) // 2).sum())
+def _tied_pairs(counts: np.ndarray) -> int:
+    """Sum of c*(c-1)/2 over counts c of equal values, as (sum of c*c - sum of c) / 2."""
+    return (int(np.vdot(counts, counts)) - int(counts.sum())) // 2
 
 
 def _count_strict_inversions(codes: np.ndarray) -> int:
-    """Number of index pairs i < j with codes[i] > codes[j].
+    """Number of index pairs i < j with codes[i] > codes[j]; sorts the int64 codes in place.
 
     Bottom-up merge passes, fully vectorized: at each pass every pair of
     adjacent width-blocks is counted at once. The codes of different rows
@@ -261,7 +258,6 @@ def _count_strict_inversions(codes: np.ndarray) -> int:
     n = codes.size
     if n < 2:
         return 0
-    arr = codes.astype(np.int64, copy=True)
     span = n  # dense codes live in [0, n), so row offsets never collide
     total = 0
     width = 1
@@ -270,25 +266,21 @@ def _count_strict_inversions(codes: np.ndarray) -> int:
         npairs = n // two
         m = npairs * two
         if npairs:
-            mat = arr[:m].reshape(npairs, two)
-            left = mat[:, :width]
-            right = mat[:, width:]
-            row = np.arange(npairs, dtype=np.int64)
-            flat_left = (left + row[:, None] * span).ravel()
-            flat_right = (right + row[:, None] * span).ravel()
-            pos = np.searchsorted(flat_left, flat_right, side="right")
-            # pos counts left-elements <= each right-element across the
-            # whole flat array; subtract each row's start to localize.
-            within = pos - np.repeat(row * width, width)
-            total += npairs * width * width - int(within.sum(dtype=np.int64))
+            mat = codes[:m].reshape(npairs, two)
+            offset = np.arange(0, npairs * span, span, dtype=np.int64)[:, None]
+            pos = np.searchsorted((mat[:, :width] + offset).ravel(), (mat[:, width:] + offset).ravel(),
+                                  side="right")
+            # pos counts, for each right element, the left elements <= it in its own
+            # row and all width left elements of each earlier row
+            total += width * width * (npairs * (npairs + 1) // 2) - int(pos.sum(dtype=np.int64))
             mat.sort(axis=1, kind="stable")
         remainder = n - m
         if remainder > width:
-            left_tail = arr[m : m + width]
-            right_tail = arr[m + width :]
+            left_tail = codes[m : m + width]
+            right_tail = codes[m + width :]
             pos = np.searchsorted(left_tail, right_tail, side="right")
             total += width * right_tail.size - int(pos.sum(dtype=np.int64))
-            arr[m:] = np.sort(arr[m:], kind="stable")
+            codes[m:] = np.sort(codes[m:], kind="stable")
         width = two
     return total
 

@@ -3,6 +3,8 @@
 import math
 import statistics
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +106,17 @@ class TestSpearman:
         with pytest.raises(ValidationError):
             spearman_rho([1.0, float("nan")], [1.0, 2.0])
 
+    def test_non_integer_objects_are_refused_not_truncated(self):
+        # astype(np.int64) would truncate these, so they are refused
+        decimals = [Decimal("1.2"), Decimal("1.7"), Decimal("3")]
+        for call in (lambda: kendall_tau_fast(decimals, [1, 2, 3]),
+                     lambda: spearman_rho(decimals, [1, 2, 3]),
+                     lambda: rank_values([Decimal("1.5"), 1]),
+                     lambda: fractional_rank([Fraction(1, 3), Fraction(2, 3), 5])):
+            with pytest.raises(ValidationError, match="must hold integers within int64 range"):
+                call()
+        assert fractional_rank([Fraction(4, 2), 5]).tolist() == [2.0, 1.0]
+
     def test_result_always_within_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -142,9 +155,12 @@ class TestFractionalRank:
         for _ in range(100):
             n = int(rng.integers(1, 150))
             half = max(1, n // 2)
-            # tied non-negative and negative integers, tied floats and untied floats
+            # tied non-negative and negative integers, tied floats and untied floats, and
+            # integers whose largest tie group is at the bottom, as counts have, or at the
+            # top, as ranks have, which sort in opposite directions
             for v in (rng.integers(0, half, n), rng.integers(-half, half, n),
-                      rng.integers(-half, half, n) / 4, rng.normal(size=n)):
+                      rng.integers(-half, half, n) / 4, rng.normal(size=n),
+                      np.maximum(rng.integers(0, n, n), n // 2), np.minimum(rng.integers(0, n, n), n // 2)):
                 want = sps.rankdata(-v, method="average")
                 assert np.array_equal(fractional_rank(v), want)
 
@@ -248,21 +264,26 @@ class TestKendallKernels:
             assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (
                 correlation._merge_counts(x_code, y_code)
             )
-            # competition ranks take the counting-sort coding; mid-ranks, other
-            # floats and integers outside [0, n] take the sort-and-runs coding
+            # competition ranks are coded from their counts directly; mid-ranks,
+            # other floats and integers outside [0, n] are ranked first
             for x, y, sign in ((rank_values(x_code), rank_values(y_code), -1),
                                (fractional_rank(x_code), fractional_rank(y_code), -1),
                                (x_code * 0.37 - 5, y_code * 1.9 + 0.1, 1),
                                (x_code * 1000 - 7, y_code * 1000 - 7, 1)):
                 for values, want in ((x, sign * x_code), (y, sign * y_code)):
-                    codes, lengths = correlation._dense_codes(values)
+                    codes, k, tied = correlation._dense_codes(values)
                     _, want_codes, want_lengths = np.unique(want, return_inverse=True,
                                                             return_counts=True)
                     assert np.array_equal(codes, want_codes)
-                    assert np.array_equal(lengths, want_lengths)
+                    assert k == want_lengths.size
+                    assert tied == int((want_lengths * (want_lengths - 1) // 2).sum())
                 histogram.clear()
+                x_before, y_before = x.copy(), y.copy()
                 assert kendall_tau_fast(x, y) == kendall_tau_naive(x, y)
                 assert len(histogram) == (n_x * n_y <= 4 * n)
+                # the kernel's in-place steps work on its own arrays only
+                assert np.array_equal(x, x_before) and x.dtype == x_before.dtype
+                assert np.array_equal(y, y_before) and y.dtype == y_before.dtype
 
     def test_counters_on_empty_and_one_group_codes(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -374,7 +395,6 @@ class TestTauToRho:
 def brute_force_exact_p(rho, n):
     """Independent oracle: fraction of rank permutations at least as
     extreme, via the tie-free shortcut formula and exact fractions."""
-    from fractions import Fraction
     from itertools import permutations
 
     denominator = n * (n * n - 1)
@@ -391,7 +411,6 @@ def brute_force_exact_p(rho, n):
 def brute_force_tied_exact_p(x, y):
     """Independent oracle: fraction of orderings of the observed y ranks
     whose covariance with x is at least as extreme, in exact fractions."""
-    from fractions import Fraction
     from itertools import permutations
 
     x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]

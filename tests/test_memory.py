@@ -14,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpusstats import TermStatsTable, write_stats
+from corpusstats import TermStatsTable, fractional_rank, kendall_tau_fast, write_stats
+from corpusstats.bench import generate_pairs
 from corpusstats.cli import main
 
 N = 200_000
@@ -52,19 +53,26 @@ def tied_table(tmp_path_factory):
     return path
 
 
-def traced_peak(argv) -> int:
-    """Bytes traced at the peak of ``main(argv)`` above what was traced before it."""
+def call_peak(call) -> int:
+    """Bytes traced at the peak of ``call()`` above what was traced before it."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        assert main(argv) == 0
+        call()
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def traced_peak(argv) -> int:
+    """Bytes traced at the peak of ``main(argv)`` above what was traced before it."""
+    def run():
+        assert main(argv) == 0
+    return call_peak(run)
 
 
 @pytest.mark.parametrize("stage", sorted(BUDGETS))
@@ -73,6 +81,27 @@ def test_stage_peak_within_budget(stage, tied_table, tmp_path):
     argv = [args[0], "--stats", str(tied_table), *(arg.format(out=tmp_path) for arg in args[1:])]
     columns = traced_peak(argv) / (N * 8)
     assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
+
+
+def kernel_pairs(case):
+    """N pairs on which kendall_tau_fast merges: a tie-free permutation against a
+    noisy copy of it, the same as floats, and the mid-ranks of generate_pairs."""
+    rng = np.random.default_rng(5)
+    x = rng.permutation(N)
+    y = np.argsort(np.argsort(x + rng.integers(0, N // 8, N), kind="stable"))
+    if case == "tie_free_ints":
+        return x, y
+    if case == "tie_free_floats":
+        return x / N, y * 0.5 + 0.25
+    return tuple(fractional_rank(v) for v in generate_pairs(N))
+
+
+@pytest.mark.parametrize("case", ["tie_free_ints", "tie_free_floats", "generate_pairs_mid_ranks"])
+def test_kendall_merge_peak_within_budget(case):
+    """The fast kernel alone; the tied table above only takes its histogram path."""
+    x, y = kernel_pairs(case)
+    columns = call_peak(lambda: kendall_tau_fast(x, y)) / (N * 8)
+    assert columns <= 9.0, f"kendall_tau_fast on {case} peaked at {columns:.2f} int64 columns of n, above 9.0"
 
 
 # ffreq flags after --freq-list LIST -> peak bound in int64 columns of n. The
