@@ -305,18 +305,17 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
     x = ranking.rank_values(tc)
     y = ranking.rank_values(df)
     del tc, df  # each n-row array is held only while a later step reads it
-    # mid-ranks keep the order and the ties of the ranks they come from
-    rerank = ranking._mid_ranks if args.fractional else (lambda r: r)
-    report = correlation.correlation_report(rerank(x), rerank(y), diagnostic_shortcut=args.diagnostic)
+    report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic,
+                                            fractional=args.fractional)
     points = None
     if args.curve_out is not None:
         keys, span = ranking._sorted_pair_keys(x, y)  # after the report, so never beside its arrays
         del x, y
-        x, y = rerank(keys // span), rerank(keys % span)
+        x, y = keys // span, keys % span
         del keys
         with warnings.catch_warnings(record=True) as skipped:  # degenerate prefixes
             warnings.simplefilter("always")
-            points = correlation.prefix_correlation_curve(x, y, args.checkpoints)
+            points = correlation.prefix_correlation_curve(x, y, args.checkpoints, args.fractional)
         for warning in skipped:
             print(f"warning: {warning.message}", file=sys.stderr)
     _write_report(_report_rows(report), args.out, args.format)
@@ -325,13 +324,15 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> None:
-    table = stats.read_stats(args.stats_path)
     if args.rounding == "all":
         roundings = list(ratio.Rounding)
     else:
         roundings = [ratio.Rounding(args.rounding)]
-    for mode in roundings:
-        hist = ratio.ratio_histogram(table, mode)
+    tc, df, _ = stats.read_stats_columns(args.stats_path)
+    ratios = ratio._ratios(tc, df)
+    del tc, df  # the ratios are all the histograms read
+    for hist in ratio._ratio_histograms(ratios, roundings):
+        mode = hist.rounding
         ratio.write_histogram(hist, Path(f"{args.out_prefix}.{mode.value}.tsv"))
         ratio.write_ratio_summary(hist, Path(f"{args.out_prefix}.{mode.value}.summary.tsv"))
 
@@ -353,7 +354,7 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
     if args.keep_lemmatized and flag != "--freq-list":
         raise UsageError(f"--keep-lemmatized applies to --freq-list input, not {flag}")
     if flag == "--stats":
-        histogram = stats.frequency_of_frequencies(stats.read_stats(path), args.which)
+        histogram = stats._count_histogram(stats.read_stats_columns(path)[0 if args.which == "tc" else 1])
     elif flag == "--ngram":
         histogram = stats.frequency_of_frequencies(stats.read_ngram_table(path, args.min_count or 0))
     else:  # with --keep-lemmatized, a term's surface row and lemma row count apart

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .ingest import write_utf8
-from .ranking import _as_vector, _competition_ranks, _runs, _sorted_pair_keys
+from .ranking import _as_vector, _competition_ranks, _mid_ranks, _runs, _sorted_pair_keys
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -72,8 +72,9 @@ def spearman_rho(x, y) -> float:
     (every rank tied), since rho is undefined there.
     """
     xv, yv = _as_pair_vectors(x, y)
-    dx = xv.astype(np.float64) - xv.mean(dtype=np.float64)
-    dy = yv.astype(np.float64) - yv.mean(dtype=np.float64)
+    dx, dy = xv.astype(np.float64), yv.astype(np.float64)  # copies, so the means go in place
+    dx -= xv.mean(dtype=np.float64)
+    dy -= yv.mean(dtype=np.float64)
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
@@ -410,14 +411,18 @@ class CurvePoint:
     tau_b: float
 
 
-def prefix_correlation_curve(x, y, checkpoints) -> list[CurvePoint]:
+def prefix_correlation_curve(x, y, checkpoints, fractional: bool = False) -> list[CurvePoint]:
     """Correlations over the first k pairs for each checkpoint k.
 
     The pairs must already be ordered by the primary ranking (ascending x
     rank), so each prefix is "the top k". Checkpoints must be strictly
     ascending and at most n; a checkpoint whose prefix is degenerate
     (fewer than 2 pairs, or zero variance) is skipped with a warning
-    instead of failing the whole curve.
+    instead of failing the whole curve. With ``fractional``, x and y are
+    competition ranks, and rho reads the mid-ranks of all n pairs
+    (:func:`_spearman_ranks`), so a prefix keeps the whole sample's
+    mid-ranks; tau_b counts the competition ranks, whose pairs order and
+    tie as the mid-ranks' do.
     """
     xv, yv = _as_pair_vectors(x, y, min_n=0)
     n = xv.size
@@ -426,19 +431,35 @@ def prefix_correlation_curve(x, y, checkpoints) -> list[CurvePoint]:
         raise ValidationError("checkpoints must be strictly ascending")
     if cps and cps[-1] > n:
         raise ValidationError(f"checkpoint {cps[-1]} exceeds the {n} available pairs")
-    points: list[CurvePoint] = []
+    rx, ry = _spearman_ranks(xv, yv, fractional)
+    rhos: list[tuple[int, float]] = []
     for k in cps:
         if k < 2:
             warnings.warn(f"checkpoint {k} skipped: needs at least 2 pairs")
             continue
         try:
-            rho = spearman_rho(xv[:k], yv[:k])
-            tau_b = kendall_tau_fast(xv[:k], yv[:k]).tau_b
+            rhos.append((k, spearman_rho(rx[:k], ry[:k])))
         except DegenerateInputError as exc:
             warnings.warn(f"checkpoint {k} skipped: {exc}")
-            continue
-        points.append(CurvePoint(k, rho, tau_b))
+    del rx, ry  # any mid-ranks are freed before Kendall counts
+    points: list[CurvePoint] = []
+    for k, rho in rhos:
+        try:  # after rho found variance on both sides, only floats with an inexact mean raise
+            points.append(CurvePoint(k, rho, kendall_tau_fast(xv[:k], yv[:k]).tau_b))
+        except DegenerateInputError as exc:
+            warnings.warn(f"checkpoint {k} skipped: {exc}")
     return points
+
+
+def _spearman_ranks(x: np.ndarray, y: np.ndarray, fractional: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rank vectors rho reads: ``x`` and ``y`` themselves, or with
+    ``fractional`` the mid-ranks of those competition ranks, one side at a time."""
+    if not fractional:
+        return x, y
+    for v in (x, y):
+        if v.dtype.kind != "i" or (v.size and (v.min() < 1 or v.max() > v.size)):
+            raise ValidationError("fractional ranks are made from competition ranks: integers in [1, n]")
+    return _mid_ranks(x), _mid_ranks(y)
 
 
 @dataclass(frozen=True)
@@ -459,19 +480,26 @@ class CorrelationReport:
     spearman_rho_shortcut: float | None = None
 
 
-def correlation_report(x, y, diagnostic_shortcut: bool = False) -> CorrelationReport:
+def correlation_report(x, y, diagnostic_shortcut: bool = False,
+                       fractional: bool = False) -> CorrelationReport:
     """Bundle rho, tau-a/b, the tau-derived rho estimate, significance,
-    and the raw pair counts for one paired rank sample."""
+    and the raw pair counts for one paired rank sample.
+
+    With ``fractional``, x and y are competition ranks: Kendall counts them
+    as they are, since mid-ranks order and tie pairs as they do, and rho,
+    its shortcut and its p-value read their mid-ranks (:func:`_spearman_ranks`).
+    """
     counts = kendall_tau_fast(x, y)
-    rho = spearman_rho(x, y)
-    shortcut = spearman_rho_shortcut(x, y) if diagnostic_shortcut else None
+    rx, ry = _spearman_ranks(*_as_pair_vectors(x, y), fractional)
+    rho = spearman_rho(rx, ry)
+    shortcut = spearman_rho_shortcut(rx, ry) if diagnostic_shortcut else None
     return CorrelationReport(
         n=counts.n,
         spearman_rho=rho,
         kendall_tau_a=counts.tau_a,
         kendall_tau_b=counts.tau_b,
         rho_estimated_from_tau=tau_to_rho(counts.tau_b),
-        p_value_rho=rho_significance(rho, counts.n, ranks=(x, y)),
+        p_value_rho=rho_significance(rho, counts.n, ranks=(rx, ry)),
         concordant=counts.concordant,
         discordant=counts.discordant,
         ties_x=counts.ties_x,

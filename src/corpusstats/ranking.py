@@ -108,7 +108,9 @@ def _competition_ranks(v: np.ndarray) -> np.ndarray:
 
 def _mid_ranks(ranks: np.ndarray) -> np.ndarray:
     """Mid-ranks from competition ranks: a tie group of L entries at rank r holds r .. r+L-1."""
-    return ranks + (np.bincount(ranks)[ranks] - 1) / 2
+    mid = ((np.bincount(ranks) - 1) / 2)[ranks]  # half the rest of each entry's tie group
+    mid += ranks
+    return mid
 
 
 def rank_values(values) -> np.ndarray:

@@ -3,7 +3,9 @@
 Every ratio is >= 1 because tc >= df for every stored term. The histogram
 bins are a display decision, so three roundings are offered; the summary
 statistics are always computed from the unrounded ratios and therefore
-agree across roundings for the same table.
+agree across roundings for the same table. Every rounding is binned from
+one sort of the ratios, which the ``ratio`` command computes from the
+table's count columns alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import write_utf8
+from .ranking import _runs
 from .stats import TermStatsTable
 
 
@@ -74,36 +77,57 @@ def round_ratio(value: float, rounding: Rounding) -> float:
 
 def compute_ratios(table: TermStatsTable) -> np.ndarray:
     """Per-term tc/df as float64, in sorted-term order."""
-    if len(table) == 0:
+    return _ratios(*table.tc_df_arrays())
+
+
+def _ratios(tc: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """tc/df of two aligned count columns as a new float64 array, after the
+    checks every ratio needs: at least one row, and 1 <= df <= tc."""
+    if tc.size == 0:
         raise ValidationError("empty table: no ratios to compute")
-    tc, df = table.tc_df_arrays()
     if (df < 1).any():
         raise ValidationError("df must be >= 1 for every term")
     if (tc < df).any():
         raise ValidationError("tc must be >= df for every term")
-    return tc.astype(np.float64) / df.astype(np.float64)
+    ratios = tc.astype(np.float64)
+    np.divide(ratios, df, out=ratios)  # df is cast a buffer at a time, never as a whole column
+    return ratios
 
 
 def ratio_histogram(table: TermStatsTable, rounding: Rounding) -> RatioHistogram:
-    """Bin the table's ratios under ``rounding``.
-
-    The mean, population standard deviation, and median come from the
-    unrounded ratios (two-pass, definitional formulas), so they are
-    identical whichever rounding is chosen. Only the bin keys move: each
-    distinct ratio is rounded once by :func:`round_ratio`.
-    """
+    """Bin the table's ratios under ``rounding``: :func:`_ratio_histograms` of one rounding."""
     rounding = Rounding(rounding)
-    ratios = compute_ratios(table)
+    return _ratio_histograms(compute_ratios(table), [rounding])[0]
+
+
+def _ratio_histograms(ratios: np.ndarray, roundings: list[Rounding]) -> list[RatioHistogram]:
+    """The histogram of ``ratios`` under each of ``roundings``, from one pass.
+
+    The mean and population standard deviation come from the unrounded
+    ratios in their given order (two-pass, definitional formulas), so they
+    are identical whichever rounding is chosen. ``ratios`` is then sorted in
+    place: the median is read from its middle, and each rounding bins its
+    runs of equal values, rounding each distinct ratio once by
+    :func:`round_ratio`.
+    """
     mean = float(ratios.mean())
-    stddev = float(np.sqrt(np.mean((ratios - mean) ** 2)))
-    median = float(np.median(ratios))
-    distinct, counts = np.unique(ratios, return_counts=True)
-    binned: dict[float, int] = {}
-    for value, count in zip(distinct.tolist(), counts.tolist()):
-        key = round_ratio(value, rounding)
-        binned[key] = binned.get(key, 0) + count
-    bins = dict(sorted(binned.items()))
-    return RatioHistogram(rounding, bins, mean, stddev, median)
+    deviations = ratios - mean
+    np.square(deviations, out=deviations)
+    stddev = float(np.sqrt(np.mean(deviations)))
+    del deviations
+    ratios.sort()
+    n = ratios.size
+    median = float(np.median(ratios[(n - 1) // 2:n // 2 + 1]))
+    starts, counts = _runs(ratios)
+    distinct, counts = ratios[starts].tolist(), counts.tolist()
+    histograms = []
+    for rounding in roundings:
+        binned: dict[float, int] = {}
+        for value, count in zip(distinct, counts):
+            key = round_ratio(value, rounding)
+            binned[key] = binned.get(key, 0) + count
+        histograms.append(RatioHistogram(rounding, dict(sorted(binned.items())), mean, stddev, median))
+    return histograms
 
 
 def write_histogram(hist: RatioHistogram, path) -> None:

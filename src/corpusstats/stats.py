@@ -360,7 +360,9 @@ def count_corpus(source, config: TokenizerConfig | None = None,
     shard raises what :func:`ingest.read_corpus` raises at its first bad
     line, and the first error in shard order is raised once every shard
     has finished, so every ``jobs`` value gives the same table or the same
-    error, and a fault does not make the corpus be read again.
+    error, and a fault does not make the corpus be read again. A shard
+    after one that has faulted stops at its next document, since its table
+    would not be used.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -375,8 +377,19 @@ def count_corpus(source, config: TokenizerConfig | None = None,
         # again, which costs more than a shard of the benchmark corpus takes.
         # The workers only read, tokenize and count: they call no BLAS
         # routine, whose idle threads are the only ones a fork can meet here.
-        with multiprocessing.get_context("fork").Pool(len(shards)) as pool:
-            results = [pool.apply_async(_count_shard, (shard, cfg)) for shard in shards]
+        context = multiprocessing.get_context("fork")
+        # The lowest index of a shard that has faulted, shared with each worker
+        # at its fork and written by this process's result thread alone.
+        first_fault = context.Value("q", len(shards), lock=False)
+
+        def on_fault(index: int):
+            def record(error: BaseException) -> None:
+                first_fault.value = min(first_fault.value, index)
+            return record
+
+        with context.Pool(len(shards), _share_first_fault, (first_fault,)) as pool:
+            results = [pool.apply_async(_count_shard, (shard, cfg, index), error_callback=on_fault(index))
+                       for index, shard in enumerate(shards)]
             # Every shard finishes before the pool is left, even after a
             # fault: leaving it with shards in flight calls terminate(),
             # which can block forever in a long-lived process.
@@ -395,9 +408,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_shard(shard, config: TokenizerConfig) -> TermStatsTable:
-    """The tc/df table of one shard."""
-    return _tally(shard.token_lists(config))
+_first_fault = None  # in a count's pool worker: the shared index of the first shard that has faulted
+
+
+class _ShardStopped(Exception):
+    """Raised by a pool worker's shard after an earlier shard faulted; the earlier error wins."""
+
+
+def _share_first_fault(value) -> None:
+    """Pool initializer: keep the shared first-fault index inherited at the fork."""
+    global _first_fault
+    _first_fault = value
+
+
+def _count_shard(shard, config: TokenizerConfig, index: int | None = None) -> TermStatsTable:
+    """The tc/df table of one shard; in a pool, shard ``index`` raises
+    :class:`_ShardStopped` at its next document once an earlier shard has faulted."""
+    token_lists = shard.token_lists(config)
+    return _tally(token_lists if index is None else _until_earlier_fault(token_lists, index))
+
+
+def _until_earlier_fault(token_lists: Iterator[list[str]], index: int) -> Iterator[list[str]]:
+    for tokens in token_lists:
+        if _first_fault.value < index:
+            raise _ShardStopped(index)
+        yield tokens
 
 
 def _checked_ids(documents: Iterable[Document]) -> Iterator[Document]:
@@ -486,14 +521,21 @@ def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
         column = source.count_arrays()[0 if which == "tc" else 1]
         if column is None:
             raise ValidationError("a tc-only table has no df column; use which='tc'")
-        values, counts = np.unique(column, return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
+        return _count_histogram(column)
     if which != "tc":
         raise ValidationError("frequency lists carry no df column; use which='tc'")
     histogram = Counter(entry.count for entry in source)
     if not histogram:
         raise ValidationError("no terms to histogram")
     return dict(histogram)
+
+
+def _count_histogram(column: np.ndarray) -> dict[int, int]:
+    """Map each value of a count column to the number of rows that hold it."""
+    if not column.size:
+        raise ValidationError("no terms to histogram")
+    values, counts = np.unique(column, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def write_stats(table: TermStatsTable, path) -> None:
@@ -561,36 +603,38 @@ def read_stats(path) -> TermStatsTable:
     pipe, is read once (:func:`_read_blocks`); any violation raises
     ParseError naming the first bad line in file order.
     """
-    return _read_blocks(Path(path))[0]
+    return TermStatsTable(*_read_blocks(Path(path))[0])
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
     """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields,
     with its errors. A table holds one row per term, so with ``keep_lemmatized``
     a lemma row and a surface row of one term are a duplicate too."""
-    return _read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0]
+    return TermStatsTable(*_read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0])
 
 
 def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
     """An n-gram count file as a tc-only table: the rows :func:`parse_ngram_counts` yields."""
     if min_count < 0:
         raise ValidationError(f"min_count must be >= 0, got {min_count}")
-    return _read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0]
+    return TermStatsTable(*_read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0])
 
 
 def _list_histogram(path, keep_lemmatized: bool) -> dict[int, int]:
     """:func:`frequency_of_frequencies` of ``parse_frequency_list(path, keep_lemmatized)``."""
-    table, lemma_counts = _read_blocks(Path(path), LIST_ROWS)
+    (_, tc, _, _), lemma_counts = _read_blocks(Path(path), LIST_ROWS)
     histogram = Counter(lemma_counts.tolist() if keep_lemmatized else ())
-    if len(table) or not histogram:  # an empty table raises "no terms to histogram"
-        histogram.update(frequency_of_frequencies(table))
+    if tc.size or not histogram:  # no count at all raises "no terms to histogram"
+        histogram.update(_count_histogram(tc))
     return dict(histogram)
 
 
 def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bool = False,
-                 min_count: int = 0) -> tuple[TermStatsTable, np.ndarray]:
+                 min_count: int = 0) -> tuple[tuple, np.ndarray]:
     """Read a stats table, or a list or n-gram file's rows (``layout``) as a tc-only table, in one pass.
 
+    Returns the :class:`TermStatsTable` arguments ``(terms, tc, df, doc_count)``,
+    so that a caller that reads only the count columns never indexes the terms.
     Lemma rows have a key space of their own and join the table's only with
     ``keep_lemmatized``; the counts of those left out come with the table.
     Counts below ``min_count`` are dropped after every check. Each block is
@@ -646,8 +690,7 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
         lengths = np.diff(_line_ends(terms), prepend=-1)
         terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, lengths)].tobytes()
         cols = [col[keep] for col in cols]
-    table = TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
-    return table, np.concatenate(lemma_counts)
+    return (terms, cols[0], cols[1] if columns == 2 else None, doc_count), np.concatenate(lemma_counts)
 
 
 def _sort_keys(path: Path, layout: RowLayout, keys: _Keys, lemma_keys: _Keys, fault=None):
@@ -781,6 +824,11 @@ def _parse_lines(path: Path, data: np.ndarray, line_no: int, layout: RowLayout, 
 
 
 def read_stats_columns(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tc, df, doc_count) of :func:`read_stats`, for callers that need no terms."""
-    table = read_stats(path)
-    return (*table.count_arrays(), table.doc_count)
+    """(tc, df, doc_count) of :func:`read_stats`, for callers that need no terms.
+
+    The terms are checked as :func:`read_stats` checks them, then freed, and
+    never indexed. The ``correlate``, ``ratio`` and ``ffreq --stats``
+    commands read their tables through it.
+    """
+    _, tc, df, doc_count = _read_blocks(Path(path))[0]
+    return tc, df, doc_count

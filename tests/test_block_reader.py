@@ -85,7 +85,7 @@ def read_at(path, size):
 
 def blocks_at(path, size):
     with block_size(size):
-        return columns_of(stats._read_blocks(path)[0])
+        return columns_of(stats.TermStatsTable(*stats._read_blocks(path)[0]))
 
 
 def error_at(path, size) -> ParseError:
@@ -271,7 +271,7 @@ def read_list_at(path, size, keep_lemmatized=False):
 
 def list_blocks_at(path, size, layout, **options):
     with block_size(size):
-        return list_columns(stats._read_blocks(path, layout, **options)[0])
+        return list_columns(stats.TermStatsTable(*stats._read_blocks(path, layout, **options)[0]))
 
 
 def line_loop(path, ngram, keep_lemmatized=False, min_count=0):

@@ -591,6 +591,39 @@ class TestCorrelationReport:
         )
 
 
+class TestFractionalSwitch:
+    """``fractional=True`` on competition ranks gives what the mid-ranks themselves give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 40)), min_size=2, max_size=60),
+           data=st.data())
+    def test_report_and_curve_equal_those_of_the_mid_ranks(self, pairs, data):
+        x, y = (rank_values(column) for column in zip(*pairs))
+        mid_x, mid_y = fractional_rank([-r for r in x]), fractional_rank([-r for r in y])
+        assert np.array_equal(mid_x, correlation._mid_ranks(x))
+
+        def report(*args, **kwargs):
+            return outcome(lambda a, b: correlation_report(a, b, True, **kwargs), *args)
+        assert report(x, y, fractional=True) == report(mid_x, mid_y)
+
+        order = np.lexsort((y, x))  # the curve's pairs ascend in x
+        cps = data.draw(st.lists(st.integers(0, len(pairs)), unique=True).map(sorted))
+
+        def curve(*args, **kwargs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                points = prefix_correlation_curve(*args, cps, **kwargs)
+            return points, [str(w.message) for w in caught]
+        assert curve(x[order], y[order], fractional=True) == curve(mid_x[order], mid_y[order])
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [0, 1, 2], [1, 2, 4]], ids=["floats", "zero", "above-n"])
+    def test_only_competition_ranks_are_taken(self, x):
+        with pytest.raises(ValidationError, match="competition ranks"):
+            correlation_report(x, [1, 2, 3], fractional=True)
+        with pytest.raises(ValidationError, match="competition ranks"):
+            prefix_correlation_curve([1, 2, 3], x, [3], fractional=True)
+
+
 # Every function that takes value vectors, called with (x, y). The vectors
 # may come back from _as_vector uncopied, so none of them may write into its input.
 READ_ONLY_CALLS = {
@@ -603,6 +636,9 @@ READ_ONLY_CALLS = {
     "prefix_correlation_curve": lambda x, y: prefix_correlation_curve(
         x, y, sorted({2, len(x) // 2, len(x)} - {0, 1})),
     "correlation_report": lambda x, y: correlation_report(x, y, diagnostic_shortcut=True),
+    "correlation_report_fractional": lambda x, y: correlation_report(x, y, True, fractional=True),
+    "prefix_correlation_curve_fractional": lambda x, y: prefix_correlation_curve(
+        x, y, sorted({2, len(x) // 2, len(x)} - {0, 1}), fractional=True),
     "rho_significance": lambda x, y: rho_significance(0.5, len(x), "exact", ranks=(x, y)),
 }
 

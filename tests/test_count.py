@@ -13,8 +13,10 @@ import io
 import multiprocessing
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -326,9 +328,14 @@ class RecordingContext:
         self.pools = []
         self.calls = []
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None, initargs=()):
         self.pools.append(processes)
+        if initializer is not None:  # what each worker runs; users undo it with monkeypatch
+            initializer(*initargs)
         return self
+
+    def Value(self, typecode, value, lock=True):
+        return SimpleNamespace(value=value)
 
     def __enter__(self):
         return self
@@ -337,9 +344,9 @@ class RecordingContext:
         self.calls.append("exit")
         return False
 
-    def apply_async(self, fn, args):
+    def apply_async(self, fn, args, error_callback=None):
         self.calls.append("apply_async")
-        return Done(fn, args)
+        return Done(fn, args, error_callback)
 
     def close(self):
         self.calls.append("close")
@@ -351,11 +358,13 @@ class RecordingContext:
 class Done:
     """A task that has run: get() returns its value or raises its error."""
 
-    def __init__(self, fn, args):
+    def __init__(self, fn, args, error_callback=None):
         try:
             self.value, self.error = fn(*args), None
         except Exception as exc:
             self.value, self.error = None, exc
+            if error_callback is not None:
+                error_callback(exc)
 
     def get(self):
         if self.error is not None:
@@ -366,6 +375,7 @@ class Done:
 @pytest.fixture
 def recorded_pools(monkeypatch):
     context = RecordingContext()
+    monkeypatch.setattr(stats, "_first_fault", None)  # restored after the pool's initializer sets it
     methods = []
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: methods.append(method) or context)
     yield context.pools
@@ -402,6 +412,7 @@ def test_zero_jobs_is_a_usage_error(recorded_pools, song_corpus_dir, tmp_path, m
 
 def test_every_shard_finishes_before_the_pool_is_left(monkeypatch, tmp_path):
     context = RecordingContext()
+    monkeypatch.setattr(stats, "_first_fault", None)  # restored after the pool's initializer sets it
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     path = tmp_path / "corpus.txt"
     stream_with_faults(path, {5: b"bad \xff", 30: b"%%DOC%%x"})  # in the first and the last shard
@@ -409,6 +420,28 @@ def test_every_shard_finishes_before_the_pool_is_left(monkeypatch, tmp_path):
         count_corpus(path, jobs=4)
     assert context.pools == [4]
     assert context.calls == ["apply_async"] * 4 + ["close", "join", "exit"]
+
+
+def test_a_fault_stops_the_shards_after_it(monkeypatch, tmp_path):
+    # Line 1 of the first shard does not decode. Each document of the second
+    # takes 10 ms to tokenize, so a worker that read all of them would take 2 s.
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"\n%%DOC%%\n".join([b"bad \xff byte", *(b"doc %d" % i for i in range(1, 400))]) + b"\n")
+    tokenized = tmp_path / "tokenized"
+    real_tokenize = ingest.tokenize
+
+    def slow_tokenize(text, config=None):  # runs in the forked workers
+        time.sleep(0.01)
+        with open(tokenized, "ab") as fh:
+            fh.write(b".")
+        return real_tokenize(text, config)
+
+    monkeypatch.setattr(ingest, "tokenize", slow_tokenize)
+    with shard_limits(cpus=2), pytest.raises(ParseError, match=r":1: not valid UTF-8$"):
+        count_corpus(path, jobs=2)
+    assert len(corpus_shards(path, parts=2)) == 2
+    read_on = tokenized.stat().st_size if tokenized.exists() else 0
+    assert read_on < 100, f"the second shard tokenized {read_on} documents after the first faulted"
 
 
 STRESS = """

@@ -27,11 +27,11 @@ BUDGETS = {
                          "--checkpoints", "1000,10000,100000,200000"], 8.0),
     "correlate_fractional_curve": (["correlate", "--fractional", "--out", "{out}/report.tsv",
                                     "--curve-out", "{out}/curve.tsv",
-                                    "--checkpoints", "1000,10000,100000,200000"], 8.5),
+                                    "--checkpoints", "1000,10000,100000,200000"], 6.2),
     "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 7.5),
     "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 8.0),
-    "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 7.0),
-    "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 5.3),
+    "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 3.9),
+    "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 3.9),
 }
 
 
@@ -105,11 +105,12 @@ def test_kendall_merge_peak_within_budget(case):
 
 
 # ffreq flags after --freq-list LIST -> peak bound in int64 columns of n. The
-# block reader holds the list's table and the lemma rows' counts; the line
-# loop held a set of every surface term, near 16 columns with --keep-lemmatized.
+# block reader holds the list's terms, tc column and the lemma rows' counts,
+# and indexes no term; the line loop held a set of every surface term, near
+# 16 columns with --keep-lemmatized.
 LIST_BUDGETS = {
-    "ffreq_freq_list": ([], 4.5),
-    "ffreq_freq_list_keep_lemmatized": (["--keep-lemmatized"], 4.5),
+    "ffreq_freq_list": ([], 3.1),
+    "ffreq_freq_list_keep_lemmatized": (["--keep-lemmatized"], 3.1),
 }
 
 

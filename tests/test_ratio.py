@@ -4,16 +4,21 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusstats import (
+    RatioHistogram,
     Rounding,
     TermStatsTable,
     ValidationError,
     compute_ratios,
     ratio_histogram,
     round_ratio,
+    write_stats,
 )
-from corpusstats.ratio import write_histogram, write_ratio_summary
+from corpusstats.cli import main
+from corpusstats.ratio import _ratio_histograms, write_histogram, write_ratio_summary
 
 
 def random_table(rng, max_terms=60):
@@ -161,3 +166,77 @@ class TestRatioExports:
         assert lines[2] == "median\t1.0"
         assert lines[3] == "mode\t1"
         assert lines[4] == "terms\t12"
+
+
+# --- the one-pass histograms against the per-rounding reference ---------------
+
+def reference_histogram(table, rounding):
+    """The histogram as it was built once per rounding: ``np.median`` and
+    ``np.unique`` of the unsorted ratios, and ``round_ratio`` per distinct value."""
+    rounding = Rounding(rounding)
+    tc, df = table.tc_df_arrays()
+    ratios = tc.astype(np.float64) / df.astype(np.float64)
+    mean = float(ratios.mean())
+    stddev = float(np.sqrt(np.mean((ratios - mean) ** 2)))
+    median = float(np.median(ratios))
+    distinct, counts = np.unique(ratios, return_counts=True)
+    binned = {}
+    for value, count in zip(distinct.tolist(), counts.tolist()):
+        key = round_ratio(value, rounding)
+        binned[key] = binned.get(key, 0) + count
+    return RatioHistogram(rounding, dict(sorted(binned.items())), mean, stddev, median)
+
+
+# Half-way ratios (1.005, 1.225, 2.5, 1.5, 3.5), and 1.001 and 1.002, which share every bin.
+SPECIAL_PAIRS = [(201, 200), (49, 40), (5, 2), (3, 2), (7, 2), (1001, 1000), (1002, 1000)]
+
+count_pairs = st.one_of(
+    st.sampled_from(SPECIAL_PAIRS),
+    st.integers(1, 60).flatmap(lambda df: st.tuples(st.integers(df, 30 * df), st.just(df))),
+    st.integers(1, 2**62).flatmap(lambda df: st.tuples(st.integers(df, 2**63 - 1), st.just(df))),
+)
+count_columns = st.one_of(
+    st.lists(count_pairs, min_size=1, max_size=40),
+    st.tuples(count_pairs, st.integers(1, 9)).map(lambda pair_n: [pair_n[0]] * pair_n[1]),  # one ratio
+)
+
+
+def pairs_table(pairs):
+    return TermStatsTable.from_mapping({f"t{i:03d}": pair for i, pair in enumerate(pairs)},
+                                       doc_count=max(df for _, df in pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=count_columns)
+def test_one_pass_histograms_equal_the_per_rounding_reference(pairs):
+    table = pairs_table(pairs)
+    want = [reference_histogram(table, mode) for mode in Rounding]
+    for got in (_ratio_histograms(compute_ratios(table), list(Rounding)),
+                [ratio_histogram(table, mode) for mode in Rounding]):
+        assert got == want
+        assert [list(hist.bins.items()) for hist in got] == [list(hist.bins.items()) for hist in want]
+
+
+@pytest.mark.parametrize("pairs", [[(5, 2)], [(201, 200), (49, 40)], [(1001, 1000), (1002, 1000), (3, 1)],
+                                   [(49, 40)] * 4], ids=["one-row", "even", "one-bin", "all-equal"])
+def test_one_pass_histograms_on_the_named_cases(pairs):
+    table = pairs_table(pairs)
+    assert _ratio_histograms(compute_ratios(table), list(Rounding)) == [
+        reference_histogram(table, mode) for mode in Rounding]
+
+
+def test_rounding_all_writes_the_files_of_each_single_rounding(tmp_path):
+    rng = np.random.default_rng(3)
+    df = rng.integers(1, 300, 5_000)
+    tc = df + rng.integers(0, 900, df.size) * (rng.random(df.size) < 0.6)
+    stats = tmp_path / "table.stats"
+    terms = "".join(f"t{i:05d}\n" for i in range(df.size)).encode("ascii")
+    write_stats(TermStatsTable(terms, tc, df, 300), stats)
+    assert main(["ratio", "--stats", str(stats), "--out-prefix", str(tmp_path / "all")]) == 0
+    for mode in Rounding:
+        assert main(["ratio", "--stats", str(stats), "--rounding", mode.value,
+                     "--out-prefix", str(tmp_path / mode.value)]) == 0
+        for ext in (".tsv", ".summary.tsv"):
+            alone = (tmp_path / f"{mode.value}.{mode.value}{ext}").read_bytes()
+            assert (tmp_path / f"all.{mode.value}{ext}").read_bytes() == alone, (mode, ext)
+    assert len(list(tmp_path.glob("*.tsv"))) == 12
