@@ -2,8 +2,8 @@
 
 The package is organized as a pipeline of small modules:
 
-- ingest: tokenization, corpora, frequency lists
-- stats: tc/df counting and the stats-table file format
+- ingest: tokenization, corpora, the rows of count files
+- stats: tc/df counting, the stats-table file format and the list readers
 - ranking: competition ranks, mid-ranks, overlap windows, rank alignment
 - correlation: Spearman rho, Kendall tau (naive and fast), significance
 - ratio: tc/df ratio histograms
@@ -24,11 +24,8 @@ from .ingest import (
     Document,
     FrequencyListEntry,
     TokenizerConfig,
-    parse_frequency_list,
-    parse_ngram_counts,
     read_corpus,
     tokenize,
-    write_frequency_list,
 )
 from .stats import (
     TermStatsTable,

@@ -26,15 +26,18 @@ from . import correlation, lexsig, ranking, ratio, stats
 from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError
 from .ingest import (
     DEFAULT_SEPARATOR,
+    NGRAM_ROWS,
     Document,
     TokenizerConfig,
     outputs_together,
-    parse_frequency_list,  # noqa: F401 (no CLI path calls it; perfbench/tracer.py wraps it)
     read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
     read_utf8,
     tokenize,
     write_utf8,
 )
+
+# Never called: perfbench/tracer.py wraps cli.parse_frequency_list, so the name stays.
+parse_frequency_list = stats.read_frequency_table
 
 JOBS_ENV_VAR = "CORPUSSTATS_JOBS"
 
@@ -356,7 +359,8 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
     if flag == "--stats":
         histogram = stats._count_histogram(stats.read_stats_columns(path)[0 if args.which == "tc" else 1])
     elif flag == "--ngram":
-        histogram = stats.frequency_of_frequencies(stats.read_ngram_table(path, args.min_count or 0))
+        tc = stats._read_blocks(path, NGRAM_ROWS, min_count=args.min_count or 0)[0][1]
+        histogram = stats._count_histogram(tc)
     else:  # with --keep-lemmatized, a term's surface row and lemma row count apart
         histogram = stats._list_histogram(path, args.keep_lemmatized)
     _write_report(sorted(histogram.items()), args.out, args.format)

@@ -1,8 +1,9 @@
-"""Corpus and frequency-list ingestion.
+"""Corpus ingestion and the row format of count files.
 
-Turns raw document containers and pre-aggregated term/count files into
-normalized streams of ``Document`` and ``FrequencyListEntry`` values. All
-readers are streaming iterators that hold no shared mutable state, so
+Turns raw document containers into normalized streams of ``Document``
+values, and defines the rows of stats tables, frequency lists and n-gram
+count files (:class:`RowLayout`, :func:`parse_row`), which the block
+reader in ``stats`` reads. The readers hold no shared mutable state, so
 distinct sources can be parsed concurrently.
 """
 
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from .errors import ParseError, ValidationError
 
@@ -27,7 +28,7 @@ MAX_COUNT = 2**63 - 1
 #: Line that separates documents in single-stream corpus files.
 DEFAULT_SEPARATOR = "%%DOC%%"
 
-_STREAM_BLOCK = 1 << 18  # bytes a stream reader or the list line loop reads at a time
+_STREAM_BLOCK = 1 << 18  # bytes a stream corpus reader reads at a time
 
 #: The UTF-8 byte-order mark. Every reader skips one at the start of a file,
 #: and only there: anywhere else it is text.
@@ -87,19 +88,6 @@ def read_utf8(path) -> str:
     if fault is not None:
         raise fault
     return text
-
-
-def read_lines(path) -> Iterator[str]:
-    """The lines of the file at ``path``, without their ends (:func:`line_blocks`);
-    a byte that is not UTF-8 raises ParseError once the lines before it are yielded."""
-    line_no = 0
-    with open(path, "rb") as fh:
-        for block in line_blocks(fh, _STREAM_BLOCK, skip_bom=True):
-            text, fault = decode_lines(path, block, line_no)
-            yield from text.split("\n")[:-1]
-            if fault is not None:
-                raise fault
-            line_no += text.count("\n")
 
 
 def decode_lines(path, data, line_no: int = 0) -> tuple[str, ParseError | None]:
@@ -479,50 +467,6 @@ def parse_row(path, line_no: int, line: str, layout: RowLayout,
     return term, counts, lemma
 
 
-def parse_frequency_list(source, keep_lemmatized: bool = False) -> Iterator[FrequencyListEntry]:
-    """Yield entries from a tab-separated frequency list, in file order.
-
-    Row format is ``term<TAB>count`` with an optional third field ``L``
-    marking a lemma row. Lines starting with ``#`` and blank lines are
-    skipped. Counts must be plain ASCII digits in [1, 2**63 - 1]. A
-    (term, lemma-flag) key may appear at most once; duplicates raise
-    ParseError rather than being re-aggregated, since the two counts could
-    not be combined without guessing the producer's intent. Lemma rows are
-    dropped unless ``keep_lemmatized`` is true (they still participate in
-    duplicate detection either way).
-    """
-    yield from _parse_count_rows(Path(source), LIST_ROWS, keep_lemmatized, 1)
-
-
-def parse_ngram_counts(source, min_count: int = 0) -> Iterator[FrequencyListEntry]:
-    """Yield entries from a two-column ``token<TAB>count`` file.
-
-    No comment lines and no lemma field, matching the n-gram export format.
-    Rows with count below ``min_count`` are filtered out after validation,
-    so a malformed row is an error even when it would have been filtered.
-    """
-    if min_count < 0:
-        raise ValidationError(f"min_count must be >= 0, got {min_count}")
-    yield from _parse_count_rows(Path(source), NGRAM_ROWS, False, min_count)
-
-
-def _parse_count_rows(path: Path, layout: RowLayout, keep_lemmatized: bool,
-                      min_count: int) -> Iterator[FrequencyListEntry]:
-    """The rows :func:`parse_row` reads, in file order; a repeated term raises ParseError."""
-    lemmas: set[str] = set()
-    seen: set[str] = set()
-    for line_no, line in enumerate(read_lines(path), 1):
-        row = parse_row(path, line_no, line, layout)
-        if row is None:
-            continue
-        term, (count,), lemma = row
-        if term in (earlier := lemmas if lemma else seen):
-            raise layout.duplicate_error(path, line_no, term, lemma)
-        earlier.add(term)
-        if count >= min_count and (keep_lemmatized or not lemma):
-            yield FrequencyListEntry(term, count, lemma)
-
-
 def check_field(term: str) -> None:
     """Refuse a term that would not read back as one tab-separated field.
 
@@ -531,18 +475,3 @@ def check_field(term: str) -> None:
     """
     if "\t" in term or "\r" in term or "\n" in term:
         raise ValidationError(f"term contains a tab, carriage return or newline: {term!r}")
-
-
-def write_frequency_list(entries: Iterable[FrequencyListEntry], path) -> None:
-    """Write entries back out in the ``term<TAB>count[<TAB>L]`` format.
-
-    Entries are written in the order given; parse -> write -> parse is
-    lossless for the entry sequence.
-    """
-    with write_utf8(path) as fh:
-        for entry in entries:
-            check_field(entry.term)
-            if entry.lemmatized:
-                fh.write(f"{entry.term}\t{entry.count}\tL\n")
-            else:
-                fh.write(f"{entry.term}\t{entry.count}\n")

@@ -34,8 +34,9 @@ class BackgroundModel:
     ``doc_count`` is the (possibly estimated) number of documents behind
     the counts. In MEASURED_DF mode df_hat is the table's df; in TC_AS_DF
     mode it is min(tc, doc_count), the df column is never read and the
-    table may be a tc-only one. Only the terms idf is asked about are
-    looked up, each by a binary search of the table's sorted terms.
+    table may be a tc-only one. Every count it reads must be >= 0. Only
+    the terms idf is asked about are looked up, each by a binary search of
+    the table's sorted terms.
     """
 
     table: TermStatsTable
@@ -45,10 +46,17 @@ class BackgroundModel:
     def __post_init__(self):
         if self.doc_count < 1:
             raise ValidationError(f"doc_count must be >= 1, got {self.doc_count}")
-        if self.df_mode is DfMode.MEASURED_DF:
-            df = self.table.count_arrays()[1]
-            if df is None:
-                raise ValidationError("a tc-only table has no df column; use tc_as_df")
+        tc, df = self.table.count_arrays()
+        measured = self.df_mode is DfMode.MEASURED_DF
+        if measured and df is None:
+            raise ValidationError("a tc-only table has no df column; use tc_as_df")
+        # 0 stays legal: from_mapping counts a term missing from one mapping as 0
+        negative = np.flatnonzero((tc < 0) | (df < 0) if measured else tc < 0)
+        if negative.size:
+            name, column = ("tc", tc) if tc[negative[0]] < 0 else ("df", df)
+            raise ValidationError(f"term {self.table.terms_at(negative[:1])[0]!r}:"
+                                  f" {name}={int(column[negative[0]])} is negative")
+        if measured:
             over = np.flatnonzero(df > self.doc_count)
             if over.size:
                 raise ValidationError(

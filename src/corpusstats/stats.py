@@ -505,29 +505,19 @@ def _add_tables(tables: list[TermStatsTable]) -> TermStatsTable:
                           sum(table.doc_count for table in tables))
 
 
-def frequency_of_frequencies(source, which: str = "tc") -> dict[int, int]:
+def frequency_of_frequencies(table: TermStatsTable, which: str = "tc") -> dict[int, int]:
     """Map count value -> number of distinct terms having that value.
 
-    ``source`` is a TermStatsTable (``which`` selects the tc or df column)
-    or an iterable of FrequencyListEntry (``which`` must then be "tc",
-    since lists carry no df). The sum over the result's values equals the
-    number of distinct terms.
+    ``which`` selects the tc or df column; a tc-only table, such as
+    :func:`read_frequency_table` gives, has only "tc". The sum over the
+    result's values equals the number of distinct terms.
     """
     if which not in ("tc", "df"):
         raise ValidationError(f"which must be 'tc' or 'df', got {which!r}")
-    if isinstance(source, TermStatsTable):
-        if len(source) == 0:
-            raise ValidationError("no terms to histogram")
-        column = source.count_arrays()[0 if which == "tc" else 1]
-        if column is None:
-            raise ValidationError("a tc-only table has no df column; use which='tc'")
-        return _count_histogram(column)
-    if which != "tc":
-        raise ValidationError("frequency lists carry no df column; use which='tc'")
-    histogram = Counter(entry.count for entry in source)
-    if not histogram:
-        raise ValidationError("no terms to histogram")
-    return dict(histogram)
+    column = table.count_arrays()[0 if which == "tc" else 1]
+    if column is None:
+        raise ValidationError("a tc-only table has no df column; use which='tc'")
+    return _count_histogram(column)
 
 
 def _count_histogram(column: np.ndarray) -> dict[int, int]:
@@ -607,21 +597,36 @@ def read_stats(path) -> TermStatsTable:
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
-    """A frequency list as a tc-only table: the rows :func:`parse_frequency_list` yields,
-    with its errors. A table holds one row per term, so with ``keep_lemmatized``
-    a lemma row and a surface row of one term are a duplicate too."""
+    """A frequency list, ``term<TAB>count[<TAB>L]`` rows, as a tc-only table.
+
+    Lines starting with ``#`` and blank lines are skipped. Counts are plain
+    ASCII digits in [1, 2**63 - 1]. A surface term and a lemma term (an
+    ``L`` row) may each appear only once, since two counts of one term
+    could not be combined without guessing the producer's intent. Lemma
+    rows are dropped unless ``keep_lemmatized``; a table holds one row per
+    term, so then a lemma row and a surface row of one term are a
+    duplicate too. Any violation raises ParseError naming the first bad
+    line in file order.
+    """
     return TermStatsTable(*_read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0])
 
 
 def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
-    """An n-gram count file as a tc-only table: the rows :func:`parse_ngram_counts` yields."""
+    """An n-gram count file, ``token<TAB>count`` rows, as a tc-only table.
+
+    Blank lines are skipped; there are no comments (``#`` is a token) and
+    no ``L`` field. Rows with a count below ``min_count`` are dropped after
+    every check, so a malformed row is an error even where it would have
+    been dropped. Errors are those of :func:`read_frequency_table`.
+    """
     if min_count < 0:
         raise ValidationError(f"min_count must be >= 0, got {min_count}")
     return TermStatsTable(*_read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0])
 
 
 def _list_histogram(path, keep_lemmatized: bool) -> dict[int, int]:
-    """:func:`frequency_of_frequencies` of ``parse_frequency_list(path, keep_lemmatized)``."""
+    """Map each count of a frequency list to its number of rows; with
+    ``keep_lemmatized`` a term's surface row and lemma row count apart."""
     (_, tc, _, _), lemma_counts = _read_blocks(Path(path), LIST_ROWS)
     histogram = Counter(lemma_counts.tolist() if keep_lemmatized else ())
     if tc.size or not histogram:  # no count at all raises "no terms to histogram"

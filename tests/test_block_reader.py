@@ -3,8 +3,8 @@ against reference parsers, at several block sizes.
 
 ``read_stats``, ``read_frequency_table`` and ``read_ngram_table`` read
 every layout in one pass, in blocks of whole lines, and name the first bad
-line in file order, as the line loop of ``parse_frequency_list`` and
-``parse_ngram_counts`` does. These tests shrink the block size so
+line in file order, as the line loop of ``reference_reader``, which reads a
+file one line at a time, does. These tests shrink the block size so
 that block boundaries fall inside rows, inside multi-byte characters,
 inside CRLF line ends and between out-of-order rows, and require the same
 table, or the same ``path:line: message``, at every size.
@@ -16,26 +16,17 @@ import json
 import os
 import re
 import threading
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusstats import (
-    CorpusStatsError,
-    ParseError,
-    TermStatsTable,
-    ValidationError,
-    frequency_of_frequencies,
-    ingest,
-    parse_frequency_list,
-    parse_ngram_counts,
-    read_stats,
-    stats,
-)
+from corpusstats import CorpusStatsError, ParseError, ValidationError, read_stats, stats
 from corpusstats.cli import main
 from corpusstats.ingest import LIST_ROWS, NGRAM_ROWS, UTF8_BOM
+from reference_reader import kept_rows, reference_table
 
 MAX_COUNT = 2**63 - 1
 BLOCK_SIZES = [1, 7, 64, 2**20]
@@ -238,8 +229,8 @@ def test_a_count_of_more_than_19_digits_with_leading_zeros(table_dir, size):
 
 # Frequency lists and n-gram count files: the same block reader with one
 # count column, read into a tc-only table. Every layout is read in one
-# pass, with the rows and the errors of the line loop (parse_frequency_list,
-# parse_ngram_counts), which reads a file in order.
+# pass, with the rows and the errors of the line loop (reference_reader),
+# which reads a file in order.
 
 
 def list_reference(data: bytes, keep_lemmatized: bool, ngram: bool = False, min_count: int = 0):
@@ -272,15 +263,6 @@ def read_list_at(path, size, keep_lemmatized=False):
 def list_blocks_at(path, size, layout, **options):
     with block_size(size):
         return list_columns(stats.TermStatsTable(*stats._read_blocks(path, layout, **options)[0]))
-
-
-def line_loop(path, ngram, keep_lemmatized=False, min_count=0):
-    """The line loop's entries of a list or n-gram file, as a table's columns."""
-    if ngram:
-        entries = parse_ngram_counts(path, min_count)
-    else:
-        entries = parse_frequency_list(path, keep_lemmatized)
-    return list_columns(TermStatsTable.from_entries(entries))
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,7 +299,7 @@ def test_every_block_size_reads_the_reference_list(
     if not ngram:
         min_count = 0  # a list has no count filter
     want = list_reference(path.read_bytes(), keep_lemmatized, ngram, min_count)
-    assert line_loop(path, ngram, keep_lemmatized, min_count) == want
+    assert reference_table(path, ngram, keep_lemmatized, min_count) == want
     layout = NGRAM_ROWS if ngram else LIST_ROWS
     for size in BLOCK_SIZES:
         if ngram:
@@ -353,7 +335,9 @@ list_lines_st = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    lines=st.lists(list_lines_st, max_size=10),
+    # lines of any kind, or only good rows of distinct terms, which ffreq mostly histograms
+    lines=st.lists(list_lines_st, max_size=10)
+    | st.lists(good_rows_st, max_size=10, unique_by=lambda row: row.split("\t", 1)[0]),
     ngram=st.booleans(),
     keep_lemmatized=st.booleans(),
     min_count=st.sampled_from([0, 7, 10**18]),
@@ -366,23 +350,25 @@ def test_ffreq_writes_the_histogram_of_the_line_loop(table_dir, lines, ngram, ke
     path = table_dir / "ffreq.freq"
     path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
     if ngram:
-        entries = parse_ngram_counts(path, min_count)
         args = ["ffreq", "--ngram", str(path), "--min-count", str(min_count)]
     else:
-        entries = parse_frequency_list(path, keep_lemmatized)
         args = ["ffreq", "--freq-list", str(path)] + (["--keep-lemmatized"] if keep_lemmatized else [])
-    want = line_loop_ffreq(entries, fmt)
+        min_count = 0  # a list has no count filter
+    want = line_loop_ffreq(path, fmt, ngram, keep_lemmatized, min_count)
     for size in BLOCK_SIZES:
         assert run_ffreq(args, fmt, size, table_dir / "ffreq.out") == want, size
 
 
-def line_loop_ffreq(entries, fmt):
+def line_loop_ffreq(path, fmt, ngram=False, keep_lemmatized=False, min_count=0):
     """Exit code, stderr and output bytes (None: no file) that ``ffreq`` should give for
-    the line loop's ``entries``."""
+    the rows the line loop keeps, a term's surface row and lemma row apart."""
     try:
-        histogram = sorted(frequency_of_frequencies(entries).items())
+        histogram = sorted(Counter(count for _, count in kept_rows(path, ngram, keep_lemmatized,
+                                                                   min_count)).items())
     except CorpusStatsError as exc:
         return 2, f"error: {exc}\n", None
+    if not histogram:
+        return 2, "error: no terms to histogram\n", None
     if fmt == "json":
         body = json.dumps({str(k): v for k, v in histogram}, sort_keys=True, indent=2) + "\n"
     else:
@@ -512,9 +498,12 @@ def test_the_first_bad_list_line_in_file_order_is_named(table_dir, size):
     path.write_bytes(b"a\t1.0\nb\xff\t1\n")
     message = f"{path}:1: count is not a plain integer: '1.0'"
     with pytest.raises(ParseError) as err:
-        list(parse_frequency_list(path))
+        list(kept_rows(path))
     assert str(err.value) == message
     with block_size(size):
+        with pytest.raises(ParseError) as err:
+            stats.read_frequency_table(path)
+        assert str(err.value) == message
         assert lexsig_error(path, table_dir) == (2, f"error: {message}\n")
         assert main(["ffreq", "--freq-list", str(path), "--out", str(table_dir / "o")]) == 2
 
@@ -538,9 +527,8 @@ def test_a_list_from_a_pipe_is_read_in_one_pass(tmp_path):
 def test_a_negative_min_count_is_refused_before_the_file_is_opened(tmp_path):
     # the file does not exist, so the ValidationError shows that nothing was read first
     missing = tmp_path / "missing.ngram"
-    for read in (stats.read_ngram_table, lambda path, n: list(parse_ngram_counts(path, n))):
-        with pytest.raises(ValidationError, match=re.escape("min_count must be >= 0, got -5")):
-            read(missing, -5)
+    with pytest.raises(ValidationError, match=re.escape("min_count must be >= 0, got -5")):
+        stats.read_ngram_table(missing, -5)
 
 
 # Lists with lemma rows ('term<TAB>count<TAB>L'). Lemma rows have a key space
@@ -568,17 +556,6 @@ def lemma_lists(draw):
     return rows
 
 
-def kept_line_loop(path):
-    """The columns of ``read_frequency_table(path, keep_lemmatized=True)`` by the line
-    loop, where a lemma row and a surface row of one term are a duplicate too; every
-    line of ``path`` is a row."""
-    kinds = {}
-    for line_no, entry in enumerate(parse_frequency_list(path, keep_lemmatized=True), 1):
-        if kinds.setdefault(entry.term, entry.lemmatized) != entry.lemmatized:
-            raise ParseError(path, line_no, LIST_ROWS.duplicate.format(repr(entry.term)))
-    return list_columns(TermStatsTable.from_entries(parse_frequency_list(path, keep_lemmatized=True)))
-
-
 def outcome(read):
     """What ``read()`` returns, or the message of the data error it raises."""
     try:
@@ -594,8 +571,8 @@ def test_lemma_rows_read_as_the_line_loop_reads_them(table_dir, rows, eol, fmt):
     path.write_bytes("".join(row + eol for row in rows).encode("utf-8"))
     for keep in (False, True):
         flag = ["--keep-lemmatized"] if keep else []
-        want_ffreq = line_loop_ffreq(parse_frequency_list(path, keep), fmt)
-        want_table = outcome(lambda: kept_line_loop(path) if keep else line_loop(path, False))
+        want_ffreq = line_loop_ffreq(path, fmt, keep_lemmatized=keep)
+        want_table = outcome(lambda: reference_table(path, keep_lemmatized=keep))
         want_lexsig = (2, want_table + "\n") if isinstance(want_table, str) else (0, "")
         for size in BLOCK_SIZES:
             got = run_ffreq(["ffreq", "--freq-list", str(path), *flag], fmt, size, table_dir / "o")
@@ -629,18 +606,3 @@ def test_the_scan_takes_a_list_block_exactly_when_its_rows_are_clean(table_dir, 
         outcome(lambda: read_list_at(path, 2**20, keep))
     assert bool(parsed) == (not clean)
 
-
-def test_no_cli_path_reads_a_list_through_the_line_loop(table_dir, monkeypatch):
-    # parse_frequency_list stays the library's file-order iterator, but no CLI
-    # path may read a list through it
-    def line_loop(*args):
-        raise AssertionError("a list was read through the line loop")
-
-    monkeypatch.setattr(ingest, "_parse_count_rows", line_loop)
-    path = table_dir / "no_loop.freq"
-    path.write_text("# words\nb\t3\nc\t2\tL\nd\t7\n\ne\t3\tL\n", encoding="utf-8")
-    out = table_dir / "no_loop.out"
-    for flag, want in (([], "3\t1\n7\t1\n"), (["--keep-lemmatized"], "2\t1\n3\t2\n7\t1\n")):
-        assert main(["ffreq", "--freq-list", str(path), *flag, "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == want
-        assert lexsig_error(path, table_dir, keep_lemmatized=bool(flag)) == (0, "")

@@ -3,7 +3,7 @@
 Every ``--jobs`` value must write the bytes of the serial reference, or
 fail with its exit code and message. The reference is independent of the
 shard reader that ``read_corpus`` and ``count`` share: :func:`line_loop_documents`
-splits a stream line by line over ``ingest.read_lines``. The shard planner
+splits a stream line by line over ``reference_reader.reference_lines``. The shard planner
 caps itself at the usable CPUs, so the tests that need more shards than
 this machine has CPUs raise that cap; the shard block size is lowered
 too, so that documents, lines and CRLF pairs straddle block ends.
@@ -35,6 +35,7 @@ from corpusstats import ingest, stats
 from corpusstats.cli import main
 from corpusstats.ingest import FileShard, StreamShard, corpus_shards
 from corpusstats.stats import count_corpus
+from reference_reader import reference_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 JOBS = (1, 2, 3, 4)
@@ -65,7 +66,7 @@ def line_loop_documents(corpus, separator=ingest.DEFAULT_SEPARATOR, cfg=Tokenize
         return
     index = 0
     segment = None  # the lines of the document being read; None before its first line
-    for line_no, line in enumerate(ingest.read_lines(corpus), 1):
+    for line_no, line in enumerate(reference_lines(corpus), 1):
         if line == separator:
             index += 1
             yield Document(f"doc{index:06d}", tokenize("\n".join(segment or []), cfg))

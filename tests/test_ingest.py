@@ -1,4 +1,4 @@
-"""Tokenizer, corpus readers, and frequency-list parsers."""
+"""Tokenizer, corpus readers, list readers and the all-or-nothing writer."""
 
 import os
 import pickle
@@ -12,18 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusstats import (
-    Document,
-    FrequencyListEntry,
     ParseError,
     TokenizerConfig,
     ValidationError,
-    parse_frequency_list,
-    parse_ngram_counts,
     read_corpus,
+    read_frequency_table,
+    read_ngram_table,
     tokenize,
-    write_frequency_list,
 )
-from corpusstats.ingest import _strip_edges, write_utf8
+from corpusstats.ingest import _strip_edges, check_field, write_utf8
 
 ALL_CODE_POINTS = range(sys.maxunicode + 1)
 PUNCTUATION = [chr(c) for c in ALL_CODE_POINTS if unicodedata.category(chr(c)).startswith("P")]
@@ -217,7 +214,7 @@ class TestReadCorpusStream:
             list(read_corpus(path, separator=""))
 
 
-class TestParseFrequencyList:
+class TestReadFrequencyTable:
     def _write(self, tmp_path, text):
         path = tmp_path / "freq.tsv"
         path.write_text(text, encoding="utf-8")
@@ -225,87 +222,70 @@ class TestParseFrequencyList:
 
     def test_basic_rows(self, tmp_path):
         path = self._write(tmp_path, "the\t100\nof\t50\n")
-        assert list(parse_frequency_list(path)) == [
-            FrequencyListEntry("the", 100),
-            FrequencyListEntry("of", 50),
-        ]
+        assert columns(read_frequency_table(path)) == (["of", "the"], [50, 100])
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = self._write(tmp_path, "# header\nthe\t100\n\n# more\nof\t50\n")
-        assert len(list(parse_frequency_list(path))) == 2
+        assert len(read_frequency_table(path)) == 2
 
     def test_lemma_rows_dropped_by_default(self, tmp_path):
         path = self._write(tmp_path, "run\t10\nrun\t25\tL\n")
-        assert list(parse_frequency_list(path)) == [FrequencyListEntry("run", 10)]
+        assert columns(read_frequency_table(path)) == (["run"], [10])
 
     def test_lemma_rows_kept_on_request(self, tmp_path):
+        path = self._write(tmp_path, "run\t10\nran\t25\tL\n")
+        assert columns(read_frequency_table(path, keep_lemmatized=True)) == (["ran", "run"], [25, 10])
+        # a table holds one row per term: kept, a term's lemma row repeats its surface row
         path = self._write(tmp_path, "run\t10\nrun\t25\tL\n")
-        entries = list(parse_frequency_list(path, keep_lemmatized=True))
-        assert entries == [
-            FrequencyListEntry("run", 10),
-            FrequencyListEntry("run", 25, lemmatized=True),
-        ]
+        with pytest.raises(ParseError, match=":2: duplicate term 'run'"):
+            read_frequency_table(path, keep_lemmatized=True)
 
     def test_duplicate_term_same_flag_rejected(self, tmp_path):
         path = self._write(tmp_path, "the\t100\nthe\t50\n")
         with pytest.raises(ParseError) as err:
-            list(parse_frequency_list(path))
+            read_frequency_table(path)
         assert ":2:" in str(err.value)
         # duplicates among dropped lemma rows are still duplicates
         path2 = self._write(tmp_path, "run\t10\tL\nrun\t20\tL\n")
-        with pytest.raises(ParseError):
-            list(parse_frequency_list(path2))
+        with pytest.raises(ParseError, match=":2: duplicate term 'run' \\(lemma row\\)"):
+            read_frequency_table(path2)
 
     def test_non_integer_count_rejected(self, tmp_path):
         for bad in ("x\tten\n", "x\t1.5\n", "x\t-3\n", "x\t+3\n", "x\t 3\n"):
             path = self._write(tmp_path, bad)
-            with pytest.raises(ParseError):
-                list(parse_frequency_list(path))
+            with pytest.raises(ParseError, match=":1: count is not a plain integer"):
+                read_frequency_table(path)
 
     def test_zero_count_rejected(self, tmp_path):
         path = self._write(tmp_path, "x\t0\n")
-        with pytest.raises(ParseError):
-            list(parse_frequency_list(path))
+        with pytest.raises(ParseError, match=":1: count must be >= 1, got 0"):
+            read_frequency_table(path)
 
     def test_count_beyond_int64_rejected(self, tmp_path):
         path = self._write(tmp_path, f"x\t{2**63}\n")
-        with pytest.raises(ParseError):
-            list(parse_frequency_list(path))
+        with pytest.raises(ParseError, match=":1: count exceeds 2"):
+            read_frequency_table(path)
         # more digits than int() converts: a ParseError, not int()'s ValueError
         path = self._write(tmp_path, "x\t" + "1" * 5000 + "\n")
-        for parse in (parse_frequency_list, parse_ngram_counts):
+        for read in (read_frequency_table, read_ngram_table):
             with pytest.raises(ParseError, match=":1: a count has too many digits"):
-                list(parse(path))
+                read(path)
         path2 = self._write(tmp_path, f"x\t{2**63 - 1}\n")
-        assert list(parse_frequency_list(path2))[0].count == 2**63 - 1
+        assert columns(read_frequency_table(path2)) == (["x"], [2**63 - 1])
 
     def test_wrong_field_count_rejected(self, tmp_path):
         for bad in ("justterm\n", "a\t1\tL\textra\n", "a\t1\tX\n"):
             path = self._write(tmp_path, bad)
-            with pytest.raises(ParseError):
-                list(parse_frequency_list(path))
+            with pytest.raises(ParseError, match=":1: (expected|unknown row flag)"):
+                read_frequency_table(path)
 
     def test_empty_term_rejected(self, tmp_path):
         path = self._write(tmp_path, "\t5\n")
-        with pytest.raises(ParseError):
-            list(parse_frequency_list(path))
-
-    def test_roundtrip_is_lossless(self, tmp_path):
-        entries = [
-            FrequencyListEntry("the", 100),
-            FrequencyListEntry("run", 25, lemmatized=True),
-            FrequencyListEntry("of", 50),
-        ]
-        path = tmp_path / "out.tsv"
-        write_frequency_list(entries, path)
-        assert list(parse_frequency_list(path, keep_lemmatized=True)) == entries
-
-    def test_write_rejects_tab_in_term(self, tmp_path):
-        with pytest.raises(ValidationError):
-            write_frequency_list([FrequencyListEntry("a\tb", 1)], tmp_path / "o.tsv")
+        with pytest.raises(ParseError, match=":1: empty term"):
+            read_frequency_table(path)
 
 
-class TestParseNgramCounts:
+class TestReadNgramTable:
     def _write(self, tmp_path, text):
         path = tmp_path / "ngrams.tsv"
         path.write_text(text, encoding="utf-8")
@@ -313,33 +293,36 @@ class TestParseNgramCounts:
 
     def test_basic_rows(self, tmp_path):
         path = self._write(tmp_path, "the\t23135851162\nof\t13151942776\n")
-        entries = list(parse_ngram_counts(path))
-        assert entries[0] == FrequencyListEntry("the", 23135851162)
-        assert len(entries) == 2
+        assert columns(read_ngram_table(path)) == (["of", "the"], [13151942776, 23135851162])
 
     def test_min_count_filters_after_validation(self, tmp_path):
         path = self._write(tmp_path, "a\t300\nb\t150\nc\t200\n")
-        kept = [e.term for e in parse_ngram_counts(path, min_count=200)]
-        assert kept == ["a", "c"]
+        assert read_ngram_table(path, min_count=200).terms() == ["a", "c"]
         # malformed row still errors even though its count is under the bar
         bad = self._write(tmp_path, "a\t300\nb\tnope\n")
-        with pytest.raises(ParseError):
-            list(parse_ngram_counts(bad, min_count=1000))
+        with pytest.raises(ParseError, match=":2: count is not a plain integer"):
+            read_ngram_table(bad, min_count=1000)
 
     def test_no_lemma_field_allowed(self, tmp_path):
         path = self._write(tmp_path, "run\t10\tL\n")
-        with pytest.raises(ParseError):
-            list(parse_ngram_counts(path))
+        with pytest.raises(ParseError, match=":1: expected token<TAB>count, got 3 fields"):
+            read_ngram_table(path)
 
     def test_hash_rows_are_not_comments(self, tmp_path):
         # '#' is a legitimate token in n-gram lists
         path = self._write(tmp_path, "#1\t500\n")
-        assert list(parse_ngram_counts(path)) == [FrequencyListEntry("#1", 500)]
+        assert columns(read_ngram_table(path)) == (["#1"], [500])
 
     def test_negative_min_count_rejected(self, tmp_path):
         path = self._write(tmp_path, "a\t1\n")
         with pytest.raises(ValidationError):
-            list(parse_ngram_counts(path, min_count=-1))
+            read_ngram_table(path, min_count=-1)
+
+
+def columns(table):
+    """The terms and tc column of a tc-only table."""
+    assert table.count_arrays()[1] is None
+    return table.terms(), table.count_arrays()[0].tolist()
 
 
 class TestWriteUtf8:
@@ -362,15 +345,18 @@ class TestWriteUtf8:
 
     def test_writer_raising_partway_leaves_no_file(self, tmp_path):
         target = tmp_path / "list.tsv"
-        entries = [FrequencyListEntry("a", 1), FrequencyListEntry("b\tc", 2)]
         with pytest.raises(ValidationError):
-            write_frequency_list(entries, target)
+            with write_utf8(target) as fh:
+                for term in ("a", "b\tc"):
+                    check_field(term)
+                    fh.write(f"{term}\t1\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_success_replaces_the_target(self, tmp_path):
         target = tmp_path / "list.tsv"
         target.write_bytes(b"old\t9\n")
-        write_frequency_list([FrequencyListEntry("caf\u00e9", 2)], target)
+        with write_utf8(target) as fh:
+            fh.write("caf\u00e9\t2\n")
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == "caf\u00e9\t2\n".encode("utf-8")
 

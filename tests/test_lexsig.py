@@ -95,6 +95,22 @@ class TestIdf:
         with pytest.raises(ValidationError):
             BackgroundModel.from_mapping({}, {}, 0, DfMode.TC_AS_DF)
 
+    def test_negative_counts_rejected(self):
+        # idf divided by df_hat + 1 = 0, or took the log of a negative, before
+        for count in (-1, -5):
+            with pytest.raises(ValidationError, match=f"term 'a': tc={count} is negative"):
+                model_from_entries([FrequencyListEntry("a", count)], 4)
+        with pytest.raises(ValidationError, match="term 'a': df=-1 is negative"):
+            BackgroundModel.from_mapping({"a": 3}, {"a": -1}, 4, DfMode.MEASURED_DF)
+        # the first such term in term order, whichever column holds its count
+        with pytest.raises(ValidationError, match="term 'b': tc=-2 is negative"):
+            BackgroundModel.from_mapping({"b": -2, "c": 1}, {"c": -1, "b": 1}, 4, DfMode.MEASURED_DF)
+        # the proxy reads no df, and 0 is the count of a term missing from one mapping
+        proxy = BackgroundModel.from_mapping({"a": 3}, {"a": -1, "b": 2}, 4, DfMode.TC_AS_DF)
+        assert (idf("a", proxy), idf("b", proxy)) == (math.log10(5 / 4), math.log10(5))
+        measured = BackgroundModel.from_mapping({"a": 3}, {"b": 2}, 4, DfMode.MEASURED_DF)
+        assert (idf("a", measured), idf("b", measured)) == (math.log10(5), math.log10(5 / 3))
+
 
 class TestTf:
     def test_counts_occurrences(self, song_docs):

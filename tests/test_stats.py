@@ -18,7 +18,6 @@ from corpusstats import (
     align_ranks,
     ranked_by,
     ratio_histogram,
-    write_frequency_list,
     write_stats,
 )
 from corpusstats import stats
@@ -187,13 +186,10 @@ class TestFrequencyOfFrequencies:
     def test_from_frequency_entries(self):
         entries = [FrequencyListEntry("a", 5), FrequencyListEntry("b", 5),
                    FrequencyListEntry("c", 2)]
-        assert frequency_of_frequencies(entries, "tc") == {5: 2, 2: 1}
         tc_only = TermStatsTable.from_entries(entries)
         assert frequency_of_frequencies(tc_only, "tc") == {5: 2, 2: 1}
 
-    def test_df_requires_a_table(self):
-        with pytest.raises(ValidationError):
-            frequency_of_frequencies([FrequencyListEntry("a", 5)], "df")
+    def test_df_needs_a_df_column(self):
         with pytest.raises(ValidationError):
             frequency_of_frequencies(TermStatsTable.from_entries([FrequencyListEntry("a", 5)]), "df")
 
@@ -289,9 +285,6 @@ class TestStatsFileFormat:
         table = TermStatsTable.from_mapping({term: (2, 1), "c": (1, 1)}, 3)
         with pytest.raises(ValidationError):
             write_stats(table, tmp_path / "t.stats")
-        with pytest.raises(ValidationError):
-            write_frequency_list([FrequencyListEntry("c", 1), FrequencyListEntry(term, 2)],
-                                 tmp_path / "t.freq")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_newline_in_a_term_is_refused_when_the_table_is_built(self):
