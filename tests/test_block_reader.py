@@ -606,3 +606,26 @@ def test_the_scan_takes_a_list_block_exactly_when_its_rows_are_clean(table_dir, 
         outcome(lambda: read_list_at(path, 2**20, keep))
     assert bool(parsed) == (not clean)
 
+
+def test_ffreq_builds_no_table(table_dir, monkeypatch):
+    # ffreq histograms a count column; no source needs the terms indexed into a table
+    def build(*args):
+        raise AssertionError("ffreq built a table")
+
+    monkeypatch.setattr(stats, "TermStatsTable", build)
+    freq = table_dir / "no_table.freq"
+    freq.write_text("# words\nb\t3\nc\t2\tL\nd\t7\n\ne\t3\tL\n", encoding="utf-8")
+    ngram = table_dir / "no_table.ngram"
+    ngram.write_text("#\t3\nb\t1\nd\t7\n", encoding="utf-8")
+    table = table_dir / "no_table.stats"
+    table.write_text("#N=4\nb\t3\t2\nd\t7\t3\n", encoding="utf-8")
+    out = table_dir / "no_table.out"
+    for args, want in (
+        (["--freq-list", str(freq)], "3\t1\n7\t1\n"),
+        (["--freq-list", str(freq), "--keep-lemmatized"], "2\t1\n3\t2\n7\t1\n"),
+        (["--ngram", str(ngram)], "1\t1\n3\t1\n7\t1\n"),
+        (["--ngram", str(ngram), "--min-count", "2"], "3\t1\n7\t1\n"),
+        (["--stats", str(table), "--which", "df"], "2\t1\n3\t1\n"),
+    ):
+        assert main(["ffreq", *args, "--out", str(out)]) == 0, args
+        assert out.read_text(encoding="utf-8") == want, args

@@ -284,6 +284,19 @@ class TestReadFrequencyTable:
         with pytest.raises(ParseError, match=":1: empty term"):
             read_frequency_table(path)
 
+    def test_count_ordered_list_reads_as_the_term_sorted_one(self, tmp_path):
+        # published term-count lists come most frequent first, not sorted by term
+        rows = [("the", 100), ("of", 50), ("and", 50), ("zebra", 2), ("a", 1)]
+        by_count = self._write(tmp_path, "".join(f"{t}\t{c}\n" for t, c in rows))
+        want = columns(read_frequency_table(by_count))
+        by_term = self._write(tmp_path, "".join(f"{t}\t{c}\n" for t, c in sorted(rows)))
+        assert columns(read_frequency_table(by_term)) == want == (
+            ["a", "and", "of", "the", "zebra"], [1, 50, 50, 100, 2])
+        # a repeat far from its first row is named at its own line
+        path = self._write(tmp_path, "the\t100\nof\t50\nzebra\t2\nof\t1\n")
+        with pytest.raises(ParseError, match=":4: duplicate term 'of'"):
+            read_frequency_table(path)
+
 
 class TestReadNgramTable:
     def _write(self, tmp_path, text):
