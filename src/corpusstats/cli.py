@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import correlation, lexsig, ranking, ratio, stats
-from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError
+from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError, ValidationError
 from .ingest import (
     DEFAULT_SEPARATOR,
     NGRAM_ROWS,
@@ -260,12 +260,21 @@ def _cmd_rank(args: argparse.Namespace) -> None:
         raise UsageError("--overlap needs 1 <= FROM <= TO")
     if args.format == "json" and args.overlap is None:
         raise UsageError("--format applies to --overlap reports only")
+    if args.scatter:
+        tc, df, _ = stats.read_stats_columns(args.stats_path)
+        if tc.size == 0:
+            raise ValidationError("empty table: nothing to rank")
+        tc_ranks = ranking.rank_values(tc)
+        del tc  # each count column is freed once it is ranked
+        df_ranks = ranking.rank_values(df)
+        del df
+        ranking._write_rank_pairs(tc_ranks, df_ranks, args.out)
+        return
     table = stats.read_stats(args.stats_path)
     if args.by is not None:
-        ranking.write_ranked_list(ranking.ranked_by(table, args.by), args.out)
-        return
-    if args.scatter:
-        ranking.write_rank_scatter(ranking.align_ranks(table), args.out)
+        # the terms and the ranked column, as a list's counts: the other column is freed before the sort
+        table = table._one_column(args.by)
+        ranking.write_ranked_list(ranking.ranked_by(table, "tc"), args.out)
         return
     lo, hi = args.overlap
     by_tc = ranking.ranked_by(table, "tc")

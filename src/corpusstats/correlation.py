@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +48,7 @@ _LOG_CERTAINLY_FLOORED = math.log(P_VALUE_FLOOR) - 8.0
 EXACT_P_MAX_N = 10
 
 _NAIVE_BLOCK = 512
+_NAIVE_STRIP = 128  # rows of a diagonal block that kendall_tau_naive compares at a time
 
 #: kendall_tau_fast counts from the (x, y) histogram while it has at most
 #: this many cells per pair, and merges otherwise.
@@ -136,12 +138,14 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
     Blocked so the pair matrices stay cache-sized; usable to a few tens of
     thousands of points, after which :func:`kendall_tau_fast` (which this
     function exists to check) is the only practical option. Each of the
-    five pair classes is counted from its own bool mask of a block, and a
-    diagonal block is counted in full: each pair twice, each point once.
+    five pair classes is counted from its own bool mask of a block. A
+    diagonal block is compared a strip of rows at a time: each strip meets
+    the rows after it in the block once, and only its own small square is
+    counted in full, each pair twice and each point once.
 
-    The default block grows with n (within fixed bounds) so that the share
-    of wasted work in the doubly counted diagonal blocks stays roughly
-    constant across input sizes and measured cost tracks the true pair count.
+    The default block grows with n (within fixed bounds), and the squares
+    cover at most ``_NAIVE_STRIP`` cells per point, so measured cost tracks
+    the true pair count.
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
@@ -149,20 +153,33 @@ def kendall_tau_naive(x, y, block: int | None = None) -> KendallCounts:
         block = min(_NAIVE_BLOCK, max(256, n // 8))
     if block < 1:
         raise ValidationError(f"block must be >= 1, got {block}")
-    # C, D, TX, TY and TXY: off the diagonal blocks, then on them, where each pair is met both ways
+    # C, D, TX, TY and TXY: off the squares, then on them, where each pair is met both ways
     counts = np.zeros((2, 5), dtype=np.int64)
+    for i0, i1, j0, j1, square in _naive_tiles(n, block):
+        xi, yi = xv[i0:i1, None], yv[i0:i1, None]
+        x_gt, x_lt = xi > xv[j0:j1], xi < xv[j0:j1]
+        y_gt, y_lt = yi > yv[j0:j1], yi < yv[j0:j1]
+        x_tied, y_tied = x_gt == x_lt, y_gt == y_lt  # neither greater nor less
+        classes = ((x_gt & y_gt) | (x_lt & y_lt), (x_gt & y_lt) | (x_lt & y_gt),
+                   x_tied > y_tied, y_tied > x_tied, x_tied & y_tied)
+        counts[square] += [np.count_nonzero(mask) for mask in classes]
+    off, squares = counts.tolist()
+    squares[4] -= n  # each point met itself once, tied in both
+    return _counts_to_taus(n, *(c + d // 2 for c, d in zip(off, squares)))
+
+
+def _naive_tiles(n: int, block: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """The (row start, row end, column start, column end, square) tiles that
+    cover each pair of n points once, or twice where ``square`` is 1."""
     for i0 in range(0, n, block):
-        xi, yi = xv[i0:i0 + block, None], yv[i0:i0 + block, None]
-        for j0 in range(i0, n, block):
-            x_gt, x_lt = xi > xv[j0:j0 + block], xi < xv[j0:j0 + block]
-            y_gt, y_lt = yi > yv[j0:j0 + block], yi < yv[j0:j0 + block]
-            x_tied, y_tied = x_gt == x_lt, y_gt == y_lt  # neither greater nor less
-            classes = ((x_gt & y_gt) | (x_lt & y_lt), (x_gt & y_lt) | (x_lt & y_gt),
-                       x_tied > y_tied, y_tied > x_tied, x_tied & y_tied)
-            counts[int(j0 == i0)] += [np.count_nonzero(mask) for mask in classes]
-    off, diagonal = counts.tolist()
-    diagonal[4] -= n  # each point met itself once, tied in both
-    return _counts_to_taus(n, *(c + d // 2 for c, d in zip(off, diagonal)))
+        i1 = min(i0 + block, n)
+        for r0 in range(i0, i1, _NAIVE_STRIP):  # the diagonal block
+            r1 = min(r0 + _NAIVE_STRIP, i1)
+            yield r0, r1, r0, r1, 1
+            if r1 < i1:
+                yield r0, r1, r1, i1, 0
+        for j0 in range(i1, n, block):
+            yield i0, i1, j0, j0 + block, 0
 
 
 def kendall_tau_fast(x, y) -> KendallCounts:

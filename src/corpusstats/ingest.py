@@ -113,16 +113,27 @@ def write_utf8(path) -> Iterator[TextIO]:
     error opening the temporary file names ``path``.
 
     A symlink keeps its link: the file it resolves to is the one replaced.
-    A path that exists and is not a regular file (a pipe, a terminal,
-    ``/dev/stdout``) cannot be replaced and is written to directly.
+    A path that resolves through ``/proc/self/fd/N`` or ``/dev/fd/N``, as
+    ``/dev/stdout`` does, names an open descriptor, which is written to as
+    it is and left open: the shell's redirect keeps its file and its
+    offset. Any other path that exists and is not a regular file (a pipe,
+    a terminal) cannot be replaced and is written to directly. Neither
+    kind is all or nothing.
     """
     path = Path(path)
+    descriptor = _open_descriptor(path)
     try:
-        special = not stat.S_ISREG(os.stat(path).st_mode)
+        special = descriptor is not None or not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         special = False
     if special:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(path if descriptor is None else descriptor, "w", encoding="utf-8", newline="\n",
+                      closefd=descriptor is None)
+        except OSError as exc:
+            exc.filename = str(path)
+            raise
+        with fh:
             yield fh
         return
     target = Path(os.path.realpath(path))
@@ -143,6 +154,19 @@ def write_utf8(path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _open_descriptor(path: Path) -> int | None:
+    """The descriptor N if ``path``, after its symlinks, is entry N of this
+    process's descriptor directory (``/proc/self/fd`` or ``/dev/fd``)."""
+    own = os.path.realpath(f"/proc/{os.getpid()}/fd")
+    for _ in range(40):  # the kernel's own limit on symlinks in one path
+        if path.name.isdigit() and os.path.realpath(path.parent) in (own, "/dev/fd"):
+            return int(path.name)
+        if not path.is_symlink():
+            return None
+        path = path.parent / os.readlink(path)
+    return None
 
 
 # The (temporary file, target) pairs of the innermost outputs_together block.

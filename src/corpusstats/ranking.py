@@ -18,20 +18,26 @@ from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable, _check_fields, _
 
 
 class RankedList:
-    """Terms with their values and competition ranks, stored columnar.
+    """Terms ranked by one count column, value descending.
 
     Presentation order is value descending with ties broken by term
     ascending; the rank numbers carry all semantics, the tie-break only
-    stabilizes output. The terms stay in their source and are decoded
-    only when read: :attr:`terms` decodes all of them, and iterating
-    yields (term, value, rank) tuples, decoding one chunk of rows at a time.
+    stabilizes output. The list holds the table whose terms it ranks, the
+    ranked column in table row order, the table row of each position
+    (int32 up to 2**31 - 1 rows) and the position at which each run of
+    equal values starts. Everything else is derived a chunk of positions at
+    a time: a position's value is the column at its row, and its
+    competition rank is one more than the start of its run. The terms are
+    decoded only when read. :attr:`terms`, :attr:`values` and :attr:`ranks`
+    build whole columns on each access; iterating yields (term, value,
+    rank) tuples, one chunk of rows at a time.
     """
 
-    def __init__(self, table: TermStatsTable, rows: np.ndarray, values: np.ndarray, ranks: np.ndarray):
+    def __init__(self, table: TermStatsTable, column: np.ndarray, rows: np.ndarray, starts: np.ndarray):
         self._table = table  # the source of the terms
+        self._column = column  # the ranked values, in table row order
         self._rows = rows  # the table row of each position
-        self.values = values
-        self.ranks = ranks
+        self._starts = starts  # the first position of each run of equal values
 
     def __len__(self) -> int:
         return self._rows.size
@@ -40,15 +46,34 @@ class RankedList:
     def terms(self) -> list[str]:
         return self.terms_at(slice(None))
 
+    @property
+    def values(self) -> np.ndarray:
+        return self._column[self._rows]
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return self._ranks_at(0, len(self))
+
     def terms_at(self, positions) -> list[str]:
         """The terms at the presentation ``positions`` (indices or a slice), in order."""
         return self._table.terms_at(self._rows[positions])
 
-    def __iter__(self) -> Iterator[tuple[str, int, int]]:
+    def _ranks_at(self, lo: int, hi: int) -> np.ndarray:
+        """The competition ranks of positions lo .. hi - 1: one more than the
+        start of each one's run, repeated over the run's positions in the range."""
+        first, end = np.searchsorted(self._starts, [lo, hi], side="right")
+        starts = self._starts[first - 1:end]  # the run holding lo, and every run after it up to hi
+        return np.repeat(starts + 1, np.diff(np.append(starts.clip(lo), hi)))
+
+    def _chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The (rows, values, ranks) of each ``_ROWS_PER_CHUNK`` positions, in order."""
         for lo in range(0, len(self), _ROWS_PER_CHUNK):
-            chunk = slice(lo, lo + _ROWS_PER_CHUNK)
-            yield from zip(self.terms_at(chunk), self.values[chunk].tolist(),
-                           self.ranks[chunk].tolist())
+            rows = self._rows[lo:lo + _ROWS_PER_CHUNK]
+            yield rows, self._column[rows], self._ranks_at(lo, lo + rows.size)
+
+    def __iter__(self) -> Iterator[tuple[str, int, int]]:
+        for rows, values, ranks in self._chunks():
+            yield from zip(self._table.terms_at(rows), values.tolist(), ranks.tolist())
 
 
 class OverlapCounts(NamedTuple):
@@ -170,7 +195,8 @@ def sports_rank(pairs: Iterable[tuple[str, int]]) -> RankedList:
 
 def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     """Rank a stats table's terms by its tc or df column; an empty table
-    raises ValidationError, as it does for :func:`align_ranks`."""
+    raises ValidationError, as it does for :func:`align_ranks`. The column
+    is inverted in place while it is sorted, and restored."""
     if by not in ("tc", "df"):
         raise ValidationError(f"by must be 'tc' or 'df', got {by!r}")
     if len(table) == 0:
@@ -179,16 +205,27 @@ def ranked_by(table: TermStatsTable, by: str = "tc") -> RankedList:
     return _rank_sorted_rows(column, table)
 
 
-def _rank_sorted_rows(values: np.ndarray, table: TermStatsTable) -> RankedList:
-    """Competition-rank the rows of ``table``, whose values are ``values``, into
-    presentation order. The stable sort on -value keeps tied terms in ascending term order.
+def _rank_sorted_rows(column: np.ndarray, table: TermStatsTable) -> RankedList:
+    """The :class:`RankedList` of the rows of ``table`` ranked by ``column``,
+    an int64 count column in row order.
+
+    A stable sort on ~value (-value - 1, which never wraps) orders the rows
+    by value descending and keeps tied terms in ascending term order. The
+    column is inverted in place for that sort and restored after it, so no
+    n-row copy of it is made (a read-only column is copied). The list keeps
+    the column, the int32 row order and the run starts; the sorted values
+    are read once, to find the runs, and never kept.
     """
-    order = np.argsort(-values, kind="stable")
+    keys = column if column.flags.writeable else column.copy()
+    np.invert(keys, out=keys)
+    try:
+        order = np.argsort(keys, kind="stable")
+    finally:
+        np.invert(keys, out=keys)
     if order.size <= _INT32_MAX:
         order = order.astype(np.int32)  # the list keeps these rows: half the bytes
-    ordered = values[order]
-    starts, lengths = _runs(ordered)
-    return RankedList(table, order, ordered, np.repeat(starts + 1, lengths))
+    starts, _ = _runs(column[order])
+    return RankedList(table, column, order, starts)
 
 
 def ranking_overlap(
@@ -214,8 +251,12 @@ def ranking_overlap(
 
 
 def _window_terms(ranked: RankedList, lo: int, hi: int) -> set[str]:
-    inside = (ranked.ranks >= lo) & (ranked.ranks <= hi)
-    return set(ranked.terms_at(np.flatnonzero(inside)))
+    """The terms ranked lo .. hi: one range of positions, from the first run
+    that starts at or after position lo - 1 to the first that starts after hi - 1."""
+    n = len(ranked)
+    bounds = np.append(ranked._starts, n)
+    first, end = bounds[np.searchsorted(ranked._starts, [min(lo - 1, n), min(hi, n)])]
+    return set(ranked.terms_at(slice(first, end)))
 
 
 class AlignedRanks:
@@ -258,10 +299,8 @@ def write_ranked_list(ranked: RankedList, path) -> None:
     _check_fields(table)
     data = np.frombuffer(table._terms, dtype=np.uint8)
     with write_utf8(path) as fh:
-        for lo in range(0, len(ranked), _ROWS_PER_CHUNK):
-            chunk = slice(lo, lo + _ROWS_PER_CHUNK)
-            terms = _pick(data, table._ends, ranked._rows[chunk])
-            fh.buffer.write(_encode_rows([ranked.values[chunk], ranked.ranks[chunk]], terms))
+        for rows, values, ranks in ranked._chunks():
+            fh.buffer.write(_encode_rows([values, ranks], _pick(data, table._ends, rows)))
 
 
 def write_rank_scatter(aligned: AlignedRanks, path) -> None:
@@ -270,7 +309,12 @@ def write_rank_scatter(aligned: AlignedRanks, path) -> None:
     One row per term; terms themselves are omitted, matching what a
     scatter plot of the two rankings needs. A negative rank is refused.
     """
-    keys, span = _sorted_pair_keys(aligned.tc_ranks, aligned.df_ranks)
+    _write_rank_pairs(aligned.tc_ranks, aligned.df_ranks, path)
+
+
+def _write_rank_pairs(tc_ranks: np.ndarray, df_ranks: np.ndarray, path) -> None:
+    """:func:`write_rank_scatter` of two aligned rank vectors, for a caller that holds no terms."""
+    keys, span = _sorted_pair_keys(tc_ranks, df_ranks)
     with write_utf8(path) as fh:
         for lo in range(0, keys.size, _ROWS_PER_CHUNK):
             fh.buffer.write(_encode_rows(np.divmod(keys[lo:lo + _ROWS_PER_CHUNK], span)))

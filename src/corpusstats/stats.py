@@ -66,7 +66,9 @@ class TermStatsTable:
     A frequency list gives a tc-only table (:meth:`from_entries`,
     :func:`read_frequency_table`, :func:`read_ngram_table`): its df
     column is None and its doc_count 0, since a list carries neither.
-    Treated as immutable once built; reads are safe to share across threads.
+    Treated as immutable once built; reads are safe to share across
+    threads, except while :func:`~corpusstats.ranking.ranked_by` sorts a
+    count column, which it inverts in place and then restores.
     """
 
     __slots__ = ("_terms", "_ends", "_tc", "_df", "doc_count")
@@ -173,6 +175,15 @@ class TermStatsTable:
         if df is None:
             raise ValidationError("a tc-only table has no df column")
         return tc, df
+
+    def _one_column(self, which: str) -> TermStatsTable:
+        """The tc-only table of these terms with the ``which`` column as its
+        counts. It shares the term buffer and its newline index, so a caller
+        that reads one column can drop this table, and with it the other."""
+        one = object.__new__(TermStatsTable)
+        one._terms, one._ends, one._df, one.doc_count = self._terms, self._ends, None, 0
+        one._tc = self.count_arrays()[0] if which == "tc" else self.tc_df_arrays()[1]
+        return one
 
     def as_mapping(self) -> dict[str, tuple[int, int]]:
         """``term -> (tc, df)``, the inverse of :meth:`from_mapping`."""

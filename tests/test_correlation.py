@@ -308,6 +308,18 @@ class TestKendallKernels:
             got = kendall_tau_naive(x, y, block=block)
             assert got == reference
 
+    @pytest.mark.parametrize("n, block", [(1, 256), (9, 2), (300, 256), (1000, 256), (1300, 500)])
+    def test_naive_tiles_meet_each_pair_once_and_only_squares_twice(self, n, block):
+        met, squares = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+        for i0, i1, j0, j1, square in correlation._naive_tiles(n, block):
+            met[i0:i1, j0:j1] += 1
+            if square:
+                assert (i0, i1) == (j0, j1)
+                squares[i0:i1, j0:j1] += 1
+        assert (np.triu(met, 1) == np.triu(np.ones_like(met), 1)).all()  # each pair i < j once
+        assert (np.tril(met) == np.tril(squares)).all()  # met both ways only inside a square
+        assert np.count_nonzero(squares) <= n * correlation._NAIVE_STRIP
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 60), alphabets=st.tuples(st.integers(1, 8), st.integers(1, 8)),
            mid_ranks=st.booleans(), block=st.sampled_from([1, 2, 3, 7, None]))

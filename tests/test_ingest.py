@@ -3,9 +3,11 @@
 import os
 import pickle
 import stat
+import subprocess
 import sys
 import threading
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from corpusstats import (
     tokenize,
 )
 from corpusstats.ingest import _strip_edges, check_field, write_utf8
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODE_POINTS = range(sys.maxunicode + 1)
 PUNCTUATION = [chr(c) for c in ALL_CODE_POINTS if unicodedata.category(chr(c)).startswith("P")]
@@ -413,3 +417,16 @@ class TestWriteUtf8:
         assert received == ["café\t2\n".encode("utf-8")]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_dev_stdout_redirected_to_a_file_keeps_the_redirect(self, tmp_path):
+        """Two reports to /dev/stdout, with the shell's own write between
+        them, all land in the one file the shell opened, in order."""
+        (tmp_path / "x").write_text("a\t3\nb\t3\nc\t1\n", encoding="utf-8")
+        script = ('{ corpusstats ffreq --ngram x --out /dev/stdout; echo between; '
+                  'corpusstats ffreq --ngram x --out /dev/stdout; } > out.txt')
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        subprocess.run(["sh", "-c", f'corpusstats() {{ "$PYTHON" -m corpusstats.cli "$@"; }}; {script}'],
+                       cwd=tmp_path, env=dict(os.environ, PYTHON=sys.executable, PYTHONPATH=path), check=True)
+        report = "1\t1\n3\t2\n"
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == report + "between\n" + report
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "x"]

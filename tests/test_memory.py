@@ -28,8 +28,10 @@ BUDGETS = {
     "correlate_fractional_curve": (["correlate", "--fractional", "--out", "{out}/report.tsv",
                                     "--curve-out", "{out}/curve.tsv",
                                     "--checkpoints", "1000,10000,100000,200000"], 6.2),
-    "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 7.5),
-    "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 8.0),
+    "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 4.6),
+    "rank_by_df": (["rank", "--by", "df", "--out", "{out}/rank.tsv"], 4.6),
+    "rank_overlap": (["rank", "--overlap", "1", "20", "--out", "{out}/overlap.tsv"], 6.0),
+    "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 5.2),
     "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 3.9),
     "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 3.9),
 }

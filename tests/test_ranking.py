@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusstats import (
     AlignedRanks,
@@ -130,6 +132,37 @@ def _with_fillers(column, n_fillers=100):
     top = column[0][1]
     fillers = [(f"filler{i:03d}", top + n_fillers - i) for i in range(n_fillers)]
     return fillers + list(column)
+
+
+def reference_ranking(terms, column):
+    """Terms, values and competition ranks of a stable argsort on -value."""
+    order = np.argsort(-np.array(column, dtype=np.int64), kind="stable")
+    values = [column[i] for i in order]
+    return [terms[i] for i in order], values, quadratic_ranks(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text("abc", min_size=1, max_size=4),
+                       st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=30),
+       st.sampled_from([1, 3]), st.integers(1, 35), st.integers(0, 35))
+def test_lazy_columns_and_windows_match_a_stable_argsort(counts, rows_per_chunk, lo, width):
+    """The values and ranks a list derives from its row order and run starts,
+    one chunk or all at once, and the windows taken from the run starts."""
+    table = TermStatsTable.from_mapping({t: (max(a, b), min(a, b)) for t, (a, b) in counts.items()}, 4)
+    columns = [column.copy() for column in table.count_arrays()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "_ROWS_PER_CHUNK", rows_per_chunk)
+        lists = [ranked_by(table, by) for by in ("tc", "df")]
+        windows = []
+        for ranked, column in zip(lists, columns):
+            terms, values, ranks = reference_ranking(table.terms(), column.tolist())
+            assert ranked.values.tolist() == values and ranked.ranks.tolist() == ranks
+            assert ranked.terms == terms and list(ranked) == list(zip(terms, values, ranks))
+            windows.append({t for t, r in zip(terms, ranks) if lo <= r <= lo + width})
+        overlap = ranking_overlap(*lists, lo, lo + width)
+    assert overlap == (len(windows[0] | windows[1]), len(windows[0] & windows[1]))
+    # the sort inverted each column in place and restored it
+    assert all(np.array_equal(a, b) for a, b in zip(table.count_arrays(), columns))
 
 
 class TestRankingOverlap:
