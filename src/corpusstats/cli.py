@@ -26,7 +26,6 @@ from . import correlation, lexsig, ranking, ratio, stats
 from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError, ValidationError
 from .ingest import (
     DEFAULT_SEPARATOR,
-    NGRAM_ROWS,
     Document,
     TokenizerConfig,
     outputs_together,
@@ -368,7 +367,7 @@ def _cmd_ffreq(args: argparse.Namespace) -> None:
     if flag == "--stats":
         histogram = stats._count_histogram(stats.read_stats_columns(path)[0 if args.which == "tc" else 1])
     elif flag == "--ngram":
-        tc = stats._read_blocks(path, NGRAM_ROWS, min_count=args.min_count or 0)[0][1]
+        tc = stats.read_ngram_table(path, args.min_count or 0).count_arrays()[0]  # frees the terms
         histogram = stats._count_histogram(tc)
     else:  # with --keep-lemmatized, a term's surface row and lemma row count apart
         histogram = stats._list_histogram(path, args.keep_lemmatized)

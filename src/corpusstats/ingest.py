@@ -205,12 +205,10 @@ class Document:
 
 @dataclass(frozen=True)
 class FrequencyListEntry:
-    """One row of a frequency list: a term, its count, and whether the row
-    was marked as a lemma rather than a surface form."""
+    """One row of a frequency list: a term and its count."""
 
     term: str
     count: int
-    lemmatized: bool = False
 
 
 def read_corpus(

@@ -239,24 +239,34 @@ def ranking_overlap(
     The window [from_rank, to_rank] selects every term whose rank falls in
     the closed interval, so a tie group straddling the boundary is included
     whenever its shared rank is. Window bounds must satisfy
-    1 <= from_rank <= to_rank.
+    1 <= from_rank <= to_rank. A list holds a term at most once, so the
+    union is the two window sizes less the intersection. Two lists that rank
+    one table, as ``rank --overlap`` does, compare table rows through one
+    mask of the table's rows; other lists compare terms through one set.
     """
     if to_rank is None:
         to_rank = max(len(list_a), len(list_b))
     if not 1 <= from_rank <= to_rank:
         raise ValidationError(f"need 1 <= from_rank <= to_rank, got [{from_rank}, {to_rank}]")
-    sel_a = _window_terms(list_a, from_rank, to_rank)
-    sel_b = _window_terms(list_b, from_rank, to_rank)
-    return OverlapCounts(len(sel_a | sel_b), len(sel_a & sel_b))
+    window_a = _window(list_a, from_rank, to_rank)
+    window_b = _window(list_b, from_rank, to_rank)
+    if list_a._table is list_b._table:
+        in_a = np.zeros(len(list_a._table), dtype=bool)
+        in_a[list_a._rows[window_a]] = True
+        both = int(np.count_nonzero(in_a[list_b._rows[window_b]]))
+    else:
+        both = len(set(list_a.terms_at(window_a)).intersection(list_b.terms_at(window_b)))
+    sizes = window_a.stop - window_a.start + window_b.stop - window_b.start
+    return OverlapCounts(sizes - both, both)
 
 
-def _window_terms(ranked: RankedList, lo: int, hi: int) -> set[str]:
-    """The terms ranked lo .. hi: one range of positions, from the first run
-    that starts at or after position lo - 1 to the first that starts after hi - 1."""
+def _window(ranked: RankedList, lo: int, hi: int) -> slice:
+    """The positions ranked lo .. hi: from the first run that starts at or
+    after position lo - 1 to the first that starts after hi - 1."""
     n = len(ranked)
     bounds = np.append(ranked._starts, n)
-    first, end = bounds[np.searchsorted(ranked._starts, [min(lo - 1, n), min(hi, n)])]
-    return set(ranked.terms_at(slice(first, end)))
+    first, end = bounds[np.searchsorted(ranked._starts, [min(lo - 1, n), min(hi, n)])].tolist()
+    return slice(first, end)
 
 
 class AlignedRanks:
@@ -300,7 +310,7 @@ def write_ranked_list(ranked: RankedList, path) -> None:
     data = np.frombuffer(table._terms, dtype=np.uint8)
     with write_utf8(path) as fh:
         for rows, values, ranks in ranked._chunks():
-            fh.buffer.write(_encode_rows([values, ranks], _pick(data, table._ends, rows)))
+            fh.buffer.write(_encode_rows([values, ranks], _pick(data, table._offsets(), rows)))
 
 
 def write_rank_scatter(aligned: AlignedRanks, path) -> None:

@@ -66,24 +66,22 @@ class TermStatsTable:
     A frequency list gives a tc-only table (:meth:`from_entries`,
     :func:`read_frequency_table`, :func:`read_ngram_table`): its df
     column is None and its doc_count 0, since a list carries neither.
-    Treated as immutable once built; reads are safe to share across
-    threads, except while :func:`~corpusstats.ranking.ranked_by` sorts a
-    count column, which it inverts in place and then restores.
+    The offsets of the terms' newlines are found at the first term lookup.
+    Treated as immutable once built; reads are safe to share across threads
+    (two may both find the offsets, the same array), except while
+    :func:`~corpusstats.ranking.ranked_by` inverts a count column to sort it.
     """
 
     __slots__ = ("_terms", "_ends", "_tc", "_df", "doc_count")
 
     def __init__(self, terms: bytes | bytearray, tc: np.ndarray, df: np.ndarray | None, doc_count: int):
-        self._terms = terms
-        self._ends = _line_ends(terms)
-        df_size = tc.size if df is None else df.size
-        if not self._ends.size == tc.size == df_size:
+        n_terms, df_size = terms.count(b"\n"), tc.size if df is None else df.size
+        if not n_terms == tc.size == df_size:
             raise ValidationError(
-                f"columns differ in length: {self._ends.size} terms, {tc.size} tc, {df_size} df"
+                f"columns differ in length: {n_terms} terms, {tc.size} tc, {df_size} df"
             )
-        self._tc = tc
-        self._df = df
-        self.doc_count = doc_count
+        self._terms, self._tc, self._df, self.doc_count = terms, tc, df, doc_count
+        self._ends = None  # the newline offsets, once :meth:`_offsets` has found them
 
     @classmethod
     def from_mapping(cls, counts: Mapping[str, tuple[int, int]], doc_count: int) -> TermStatsTable:
@@ -115,14 +113,20 @@ class TermStatsTable:
         return cls(packed, tc[order], None if df is None else df[order], doc_count)
 
     def __len__(self) -> int:
-        return self._ends.size
+        return self._tc.size
+
+    def _offsets(self) -> np.ndarray:
+        """The offsets of the term buffer's newlines (:func:`_line_ends`), found on the first call."""
+        if self._ends is None:
+            self._ends = _line_ends(self._terms)
+        return self._ends
 
     def _index(self, term: str) -> int | None:
         try:
             key = term.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate: no stored term has one
             return None
-        ends = memoryview(self._ends)  # yields Python ints, twice as fast as numpy scalars
+        ends = memoryview(self._offsets())  # yields Python ints, twice as fast as numpy scalars
 
         def term_bytes(i: int) -> bytes:
             return self._terms[ends[i - 1] + 1 if i else 0:ends[i]]
@@ -155,11 +159,11 @@ class TermStatsTable:
         Decodes one chunk of rows at a time, so unlike reordering
         :meth:`terms` it never holds the whole table's terms twice.
         """
-        data = np.frombuffer(self._terms, dtype=np.uint8)
+        data, ends = np.frombuffer(self._terms, dtype=np.uint8), self._offsets()
         terms: list[str] = [""] * len(rows)
         for lo in range(0, len(rows), _ROWS_PER_CHUNK):
             chunk = rows[lo:lo + _ROWS_PER_CHUNK]
-            decoded = _pick(data, self._ends, chunk).tobytes().decode("utf-8").split("\n")
+            decoded = _pick(data, ends, chunk).tobytes().decode("utf-8").split("\n")
             terms[lo:lo + chunk.size] = decoded[:-1]  # the last is empty: after the final newline
         return terms
 
@@ -177,13 +181,10 @@ class TermStatsTable:
         return tc, df
 
     def _one_column(self, which: str) -> TermStatsTable:
-        """The tc-only table of these terms with the ``which`` column as its
-        counts. It shares the term buffer and its newline index, so a caller
-        that reads one column can drop this table, and with it the other."""
-        one = object.__new__(TermStatsTable)
-        one._terms, one._ends, one._df, one.doc_count = self._terms, self._ends, None, 0
-        one._tc = self.count_arrays()[0] if which == "tc" else self.tc_df_arrays()[1]
-        return one
+        """The tc-only table of these terms and their ``which`` column, so that a
+        caller that ranks one column can drop this table and the other column."""
+        column = self.count_arrays()[0] if which == "tc" else self.tc_df_arrays()[1]
+        return TermStatsTable(self._terms, column, None, 0)
 
     def as_mapping(self) -> dict[str, tuple[int, int]]:
         """``term -> (tc, df)``, the inverse of :meth:`from_mapping`."""
@@ -543,12 +544,12 @@ def write_stats(table: TermStatsTable, path) -> None:
     """Serialize a table as ``#N=<doc_count>`` then term-sorted tc/df rows."""
     tc, df = table.tc_df_arrays()
     _check_fields(table)
-    data = np.frombuffer(table._terms, dtype=np.uint8)
+    data, ends = np.frombuffer(table._terms, dtype=np.uint8), table._offsets()
     with write_utf8(path) as fh:
         fh.buffer.write(b"#N=%d\n" % table.doc_count)
         for lo in range(0, len(table), _ROWS_PER_CHUNK):
             hi = min(lo + _ROWS_PER_CHUNK, len(table))
-            terms = data[int(table._ends[lo - 1]) + 1 if lo else 0:int(table._ends[hi - 1]) + 1]
+            terms = data[int(ends[lo - 1]) + 1 if lo else 0:int(ends[hi - 1]) + 1]
             fh.buffer.write(_encode_rows([tc[lo:hi], df[lo:hi]], terms))
 
 
@@ -604,7 +605,7 @@ def read_stats(path) -> TermStatsTable:
     pipe, is read once (:func:`_read_blocks`); any violation raises
     ParseError naming the first bad line in file order.
     """
-    return TermStatsTable(*_read_blocks(Path(path))[0])
+    return _read_blocks(Path(path))[0]
 
 
 def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
@@ -619,7 +620,7 @@ def read_frequency_table(path, keep_lemmatized: bool = False) -> TermStatsTable:
     duplicate too. Any violation raises ParseError naming the first bad
     line in file order.
     """
-    return TermStatsTable(*_read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0])
+    return _read_blocks(Path(path), LIST_ROWS, keep_lemmatized)[0]
 
 
 def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
@@ -632,13 +633,15 @@ def read_ngram_table(path, min_count: int = 0) -> TermStatsTable:
     """
     if min_count < 0:
         raise ValidationError(f"min_count must be >= 0, got {min_count}")
-    return TermStatsTable(*_read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0])
+    return _read_blocks(Path(path), NGRAM_ROWS, min_count=min_count)[0]
 
 
 def _list_histogram(path, keep_lemmatized: bool) -> dict[int, int]:
     """Map each count of a frequency list to its number of rows; with
     ``keep_lemmatized`` a term's surface row and lemma row count apart."""
-    (_, tc, _, _), lemma_counts = _read_blocks(Path(path), LIST_ROWS)
+    table, lemma_counts = _read_blocks(Path(path), LIST_ROWS)
+    tc = table.count_arrays()[0]
+    del table  # the terms are freed before the histogram sorts tc
     histogram = Counter(lemma_counts.tolist() if keep_lemmatized else ())
     if tc.size or not histogram:  # no count at all raises "no terms to histogram"
         histogram.update(_count_histogram(tc))
@@ -646,11 +649,9 @@ def _list_histogram(path, keep_lemmatized: bool) -> dict[int, int]:
 
 
 def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bool = False,
-                 min_count: int = 0) -> tuple[tuple, np.ndarray]:
+                 min_count: int = 0) -> tuple[TermStatsTable, np.ndarray]:
     """Read a stats table, or a list or n-gram file's rows (``layout``) as a tc-only table, in one pass.
 
-    Returns the :class:`TermStatsTable` arguments ``(terms, tc, df, doc_count)``,
-    so that a caller that reads only the count columns never indexes the terms.
     Lemma rows have a key space of their own and join the table's only with
     ``keep_lemmatized``; the counts of those left out come with the table.
     Counts below ``min_count`` are dropped after every check. Each block is
@@ -706,7 +707,8 @@ def _read_blocks(path: Path, layout: RowLayout = STATS_ROWS, keep_lemmatized: bo
         lengths = np.diff(_line_ends(terms), prepend=-1)
         terms = np.frombuffer(terms, dtype=np.uint8)[np.repeat(keep, lengths)].tobytes()
         cols = [col[keep] for col in cols]
-    return (terms, cols[0], cols[1] if columns == 2 else None, doc_count), np.concatenate(lemma_counts)
+    table = TermStatsTable(terms, cols[0], cols[1] if columns == 2 else None, doc_count)
+    return table, np.concatenate(lemma_counts)
 
 
 def _sort_keys(path: Path, layout: RowLayout, keys: _Keys, lemma_keys: _Keys, fault=None):
@@ -840,11 +842,7 @@ def _parse_lines(path: Path, data: np.ndarray, line_no: int, layout: RowLayout, 
 
 
 def read_stats_columns(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tc, df, doc_count) of :func:`read_stats`, for callers that need no terms.
-
-    The terms are checked as :func:`read_stats` checks them, then freed, and
-    never indexed. The ``correlate``, ``ratio`` and ``ffreq --stats``
-    commands read their tables through it.
-    """
-    _, tc, df, doc_count = _read_blocks(Path(path))[0]
-    return tc, df, doc_count
+    """(tc, df, doc_count) of :func:`read_stats`, for callers that need no terms (freed on
+    return): the ``correlate``, ``ratio`` and ``ffreq --stats`` commands read their tables so."""
+    table = _read_blocks(Path(path))[0]
+    return *table.count_arrays(), table.doc_count

@@ -76,7 +76,7 @@ def read_at(path, size):
 
 def blocks_at(path, size):
     with block_size(size):
-        return columns_of(stats.TermStatsTable(*stats._read_blocks(path)[0]))
+        return columns_of(stats._read_blocks(path)[0])
 
 
 def error_at(path, size) -> ParseError:
@@ -262,7 +262,7 @@ def read_list_at(path, size, keep_lemmatized=False):
 
 def list_blocks_at(path, size, layout, **options):
     with block_size(size):
-        return list_columns(stats.TermStatsTable(*stats._read_blocks(path, layout, **options)[0]))
+        return list_columns(stats._read_blocks(path, layout, **options)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -607,12 +607,12 @@ def test_the_scan_takes_a_list_block_exactly_when_its_rows_are_clean(table_dir, 
     assert bool(parsed) == (not clean)
 
 
-def test_ffreq_builds_no_table(table_dir, monkeypatch):
-    # ffreq histograms a count column; no source needs the terms indexed into a table
-    def build(*args):
-        raise AssertionError("ffreq built a table")
+def test_ffreq_finds_no_term_offsets(table_dir, monkeypatch):
+    # ffreq histograms a count column; no source looks a term up, so no table finds its newlines
+    def find(table):
+        raise AssertionError("ffreq found the term offsets")
 
-    monkeypatch.setattr(stats, "TermStatsTable", build)
+    monkeypatch.setattr(stats.TermStatsTable, "_offsets", find)
     freq = table_dir / "no_table.freq"
     freq.write_text("# words\nb\t3\nc\t2\tL\nd\t7\n\ne\t3\tL\n", encoding="utf-8")
     ngram = table_dir / "no_table.ngram"

@@ -30,7 +30,9 @@ BUDGETS = {
                                     "--checkpoints", "1000,10000,100000,200000"], 6.2),
     "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 4.6),
     "rank_by_df": (["rank", "--by", "df", "--out", "{out}/rank.tsv"], 4.6),
-    "rank_overlap": (["rank", "--overlap", "1", "20", "--out", "{out}/overlap.tsv"], 6.0),
+    "rank_overlap": (["rank", "--overlap", "1", "20", "--out", "{out}/overlap.tsv"], 5.6),
+    # a window of every rank: one mask of the table's rows, where sets of its terms took 45 columns
+    "rank_overlap_wide": (["rank", "--overlap", "1", str(N), "--out", "{out}/overlap.tsv"], 5.6),
     "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 5.2),
     "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 3.9),
     "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 3.9),

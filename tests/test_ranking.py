@@ -165,6 +165,21 @@ def test_lazy_columns_and_windows_match_a_stable_argsort(counts, rows_per_chunk,
     assert all(np.array_equal(a, b) for a, b in zip(table.count_arrays(), columns))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=3).filter(lambda t: "\n" not in t),
+                       st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=40),
+       st.integers(1, 45), st.integers(0, 45))
+def test_overlap_of_one_table_rows_equals_that_of_its_terms(counts, lo, width):
+    """Two lists of one table compare its rows, two lists of their own tables
+    compare terms; with five values in up to 40 rows, tie groups straddle the bounds."""
+    counts = {t: (max(a, b), min(a, b)) for t, (a, b) in counts.items()}
+    table = TermStatsTable.from_mapping(counts, 5)
+    rows = ranking_overlap(ranked_by(table, "tc"), ranked_by(table, "df"), lo, lo + width)
+    terms = ranking_overlap(sports_rank((t, tc) for t, (tc, _) in counts.items()),
+                            sports_rank((t, df) for t, (_, df) in counts.items()), lo, lo + width)
+    assert rows == terms
+
+
 class TestRankingOverlap:
     def test_top20_window(self):
         overlap = ranking_overlap(sports_rank(TOP20_TC), sports_rank(TOP20_DF), 1, 20)

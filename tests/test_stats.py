@@ -145,6 +145,48 @@ class TestTableBasics:
             TermStatsTable.from_mapping({"x": (3, 2)}, 1).validate()  # df > doc_count
 
 
+class TestTermOffsets:
+    """A table finds the newline offsets of its terms at the first lookup, and only then."""
+
+    @pytest.fixture
+    def song_path(self, song_table, tmp_path):
+        path = tmp_path / "song.stats"
+        write_stats(song_table, path)
+        return path
+
+    def test_the_readers_find_none(self, song_path, monkeypatch):
+        def find(table):
+            raise AssertionError("the reader found the term offsets")
+
+        monkeypatch.setattr(TermStatsTable, "_offsets", find)
+        assert read_stats(song_path)._ends is None
+        tc, df, n = read_stats_columns(song_path)
+        assert tc.size == df.size == 12 and n == 5
+
+    @pytest.mark.parametrize("use", [
+        pytest.param(lambda t, tmp: t.tc("love"), id="tc"),
+        pytest.param(lambda t, tmp: t.terms_at(np.array([3, 0])), id="terms_at"),
+        pytest.param(lambda t, tmp: write_stats(t, tmp / "again.stats"), id="write_stats"),
+    ])
+    def test_a_lookup_finds_them_once(self, song_path, use, tmp_path, monkeypatch):
+        table = read_stats(song_path)
+        scans = []
+        line_ends = stats._line_ends
+        monkeypatch.setattr(stats, "_line_ends", lambda buffer: scans.append(1) or line_ends(buffer))
+        first, again = use(table, tmp_path), use(table, tmp_path)
+        assert first == again and len(scans) == 1
+        assert table._ends.tolist() == np.flatnonzero(np.frombuffer(table._terms, np.uint8) == 10).tolist()
+
+    @pytest.mark.parametrize("df, message", [
+        (np.array([1, 1, 1]), "columns differ in length: 2 terms, 3 tc, 3 df"),
+        (None, "columns differ in length: 2 terms, 3 tc, 3 df"),
+        (np.array([1]), "columns differ in length: 2 terms, 3 tc, 1 df"),
+    ], ids=["both", "tc_only", "df"])
+    def test_mismatched_lengths_raise_as_before(self, df, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TermStatsTable(b"a\nb\n", np.array([3, 2, 1]), df, 4)
+
+
 class TestTcOnlyTable:
     """A frequency list's table has no df column: every reader of it refuses."""
 
