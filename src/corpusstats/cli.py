@@ -21,6 +21,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import correlation, lexsig, ranking, ratio, stats
 from .errors import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, CorpusStatsError, UsageError, ValidationError
@@ -314,15 +316,15 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
         raise UsageError("--out and --curve-out name the same file")
     tc, df, _ = stats.read_stats_columns(args.stats_path)
     x = ranking.rank_values(tc)
+    del tc  # each n-row array is held only while a later step reads it
     y = ranking.rank_values(df)
-    del tc, df  # each n-row array is held only while a later step reads it
+    del df
     report = correlation.correlation_report(x, y, diagnostic_shortcut=args.diagnostic,
                                             fractional=args.fractional)
     points = None
     if args.curve_out is not None:
         keys, span = ranking._sorted_pair_keys(x, y)  # after the report, so never beside its arrays
-        del x, y
-        x, y = keys // span, keys % span
+        np.divmod(keys, span, out=(x, y), casting="unsafe")  # x and y take the pairs in key order
         del keys
         with warnings.catch_warnings(record=True) as skipped:  # degenerate prefixes
             warnings.simplefilter("always")

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .ingest import write_utf8
-from .ranking import _as_vector, _competition_ranks, _mid_ranks, _runs, _sorted_pair_keys
+from .ranking import _as_vector, _competition_ranks, _mid_ranks, _pair_keys, _runs, _sorted_pair_keys
+from .stats import _index_dtype
 
 #: Reported p-values never go below this floor.
 P_VALUE_FLOOR = 2.2e-16
@@ -77,6 +78,11 @@ def spearman_rho(x, y) -> float:
     dx, dy = xv.astype(np.float64), yv.astype(np.float64)  # copies, so the means go in place
     dx -= xv.mean(dtype=np.float64)
     dy -= yv.mean(dtype=np.float64)
+    return _centred_rho(dx, dy)
+
+
+def _centred_rho(dx: np.ndarray, dy: np.ndarray) -> float:
+    """The Pearson correlation of two float64 vectors that are centred on their means."""
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
@@ -94,7 +100,7 @@ def spearman_rho_shortcut(x, y) -> float:
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
-    d = xv.astype(np.float64) - yv.astype(np.float64)
+    d = np.subtract(xv, yv, dtype=np.float64)
     ssd = float(np.dot(d, d))
     return 1.0 - 6.0 * ssd / (n * (float(n) * n - 1.0))
 
@@ -192,16 +198,19 @@ def kendall_tau_fast(x, y) -> KendallCounts:
     from that histogram; otherwise from one sort on the combined key
     x_code * n_y + y_code, counting discordant pairs as strict inversions
     of y_code in that order (Knight 1966). Produces exactly the same
-    KendallCounts as :func:`kendall_tau_naive`.
+    KendallCounts as :func:`kendall_tau_naive`. The codes are int32 up to
+    2**31 - 1 pairs, and the key widens them to int64.
     """
     xv, yv = _as_pair_vectors(x, y)
     n = xv.size
     x_code, n_x, tie_x = _dense_codes(xv)
     y_code, n_y, tie_y = _dense_codes(yv)
-    if n_x * n_y <= _HISTOGRAM_CELLS_PER_PAIR * n:
-        disc, tie_xy = _histogram_counts(x_code, y_code, n_x, n_y)
-    else:
-        disc, tie_xy = _merge_counts(x_code, y_code)
+    if n_x > n_y:  # the histogram walks the x groups; both counts are symmetric in x and y
+        x_code, y_code, n_x, n_y = y_code, x_code, n_y, n_x
+    histogram = n_x * n_y <= _HISTOGRAM_CELLS_PER_PAIR * n
+    keys, span = (_pair_keys if histogram else _sorted_pair_keys)(x_code, y_code)  # span is n_y
+    del x_code, y_code  # freed before the keys are counted
+    disc, tie_xy = _histogram_counts(keys, n_x, n_y) if histogram else _merge_counts(keys, span)
     conc = n * (n - 1) // 2 - tie_x - tie_y + tie_xy - disc
     return _counts_to_taus(n, conc, disc, tie_x - tie_xy, tie_y - tie_xy, tie_xy)
 
@@ -218,30 +227,25 @@ def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int, int]:
     n = values.size
     if not (values.dtype.kind == "i" and n and values.min() >= 0 and values.max() <= n):
         values = _competition_ranks(values)
-        np.subtract(n, values, out=values)
+        np.subtract(n, values, out=values)  # ranks are in [1, n], so this stays in [0, n)
     counts = np.bincount(values)
     tied = _tied_pairs(counts)
     present = counts > 0
-    code_of = np.cumsum(present, out=counts)  # the counts are read, so their array takes the codes
+    del counts
+    code_of = np.cumsum(present, dtype=_index_dtype(n))  # int32 codes up to 2**31 - 1 values
     code_of -= 1
     return code_of[values], int(code_of[-1]) + 1, tied
 
 
-def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
-                      n_y: int) -> tuple[int, int]:
+def _histogram_counts(keys: np.ndarray, n_x: int, n_y: int) -> tuple[int, int]:
     """Discordant pairs and pairs tied in both, from the n_x * n_y histogram
-    of the (x code, y code) pairs.
+    of the pair keys x_code * n_y + y_code (:func:`_pair_keys`).
 
     A cell's points are discordant with every point of an earlier x group
-    that has a higher y code. Walks the groups of the shorter side, which
-    is safe because both counts are symmetric in x and y.
+    that has a higher y code. Walks the n_x groups of x, so the caller
+    puts the side with fewer codes there.
     """
-    if n_x > n_y:
-        x_code, y_code, n_x, n_y = y_code, x_code, n_y, n_x
-    key = x_code * n_y
-    key += y_code
-    hist = np.bincount(key, minlength=n_x * n_y).reshape(n_x, n_y)
-    del key  # n cells, freed before the walk
+    hist = np.bincount(keys, minlength=n_x * n_y).reshape(n_x, n_y)
     tie_xy = _tied_pairs(hist)
     disc = 0
     at_most = np.zeros(n_y, dtype=np.int64)  # points of earlier groups with y code <= b
@@ -251,12 +255,12 @@ def _histogram_counts(x_code: np.ndarray, y_code: np.ndarray, n_x: int,
     return disc, tie_xy
 
 
-def _merge_counts(x_code: np.ndarray, y_code: np.ndarray) -> tuple[int, int]:
-    """Discordant pairs and pairs tied in both, from one sort of the pair keys."""
-    keys, span = _sorted_pair_keys(x_code, y_code)
-    _, xy_lengths = _runs(keys)
+def _merge_counts(keys: np.ndarray, span: int) -> tuple[int, int]:
+    """Discordant pairs and pairs tied in both, from the sorted pair keys
+    x_code * span + y_code (:func:`_sorted_pair_keys`), which it overwrites."""
+    tie_xy = _tied_pairs(_runs(keys)[1])
     keys %= span  # the y codes in (x, y) order
-    return _count_strict_inversions(keys), _tied_pairs(xy_lengths)
+    return _count_strict_inversions(keys), tie_xy
 
 
 def _tied_pairs(counts: np.ndarray) -> int:
@@ -505,18 +509,27 @@ def correlation_report(x, y, diagnostic_shortcut: bool = False,
     With ``fractional``, x and y are competition ranks: Kendall counts them
     as they are, since mid-ranks order and tie pairs as they do, and rho,
     its shortcut and its p-value read their mid-ranks (:func:`_spearman_ranks`).
+    Those mid-ranks are the report's own, so rho centres them in place once
+    the shortcut has read them; the exact p-value of n <= 10 pairs reads a copy.
     """
     counts = kendall_tau_fast(x, y)
     rx, ry = _spearman_ranks(*_as_pair_vectors(x, y), fractional)
-    rho = spearman_rho(rx, ry)
     shortcut = spearman_rho_shortcut(rx, ry) if diagnostic_shortcut else None
+    if fractional:
+        ranks = (rx.copy(), ry.copy()) if counts.n <= EXACT_P_MAX_N else None
+        rx -= rx.mean()
+        ry -= ry.mean()
+        rho = _centred_rho(rx, ry)
+    else:
+        ranks = (rx, ry)
+        rho = spearman_rho(rx, ry)
     return CorrelationReport(
         n=counts.n,
         spearman_rho=rho,
         kendall_tau_a=counts.tau_a,
         kendall_tau_b=counts.tau_b,
         rho_estimated_from_tau=tau_to_rho(counts.tau_b),
-        p_value_rho=rho_significance(rho, counts.n, ranks=(rx, ry)),
+        p_value_rho=rho_significance(rho, counts.n, ranks=ranks),
         concordant=counts.concordant,
         discordant=counts.discordant,
         ties_x=counts.ties_x,

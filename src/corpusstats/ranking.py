@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import FrequencyListEntry, write_utf8
-from .stats import _INT32_MAX, _ROWS_PER_CHUNK, TermStatsTable, _check_fields, _encode_rows, _pick
+from .stats import _ROWS_PER_CHUNK, TermStatsTable, _check_fields, _encode_rows, _index_dtype, _pick
 
 
 class RankedList:
@@ -82,10 +82,10 @@ class OverlapCounts(NamedTuple):
 
 
 def _as_vector(values, name: str) -> np.ndarray:
-    """``values`` as a one-dimensional float64 or int64 array, validated.
+    """``values`` as a one-dimensional float64, int64 or int32 array, validated.
 
     The result is ``values`` itself when it already is such an array, so
-    callers only read it.
+    callers only read it. int32 is the type of ranks (:func:`_competition_ranks`).
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -98,6 +98,8 @@ def _as_vector(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} exceeds the int64 limit")
     if arr.dtype.kind not in "iuO":
         raise ValidationError(f"{name} must be numeric, got dtype {arr.dtype}")
+    if arr.dtype == np.int32:
+        return arr
     try:
         ints = arr.astype(np.int64, copy=False)
     except (OverflowError, TypeError, ValueError):
@@ -110,24 +112,26 @@ def _as_vector(values, name: str) -> np.ndarray:
 def _runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start offsets and lengths of the runs of equal values in a sorted vector."""
     n = sorted_values.size
-    is_start = np.empty(n, dtype=bool)
-    is_start[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    return starts, np.diff(starts, append=n)
+    is_bound = np.ones(n + 1, dtype=bool)  # the first run starts at 0, and the last ends at n
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_bound[1:n])
+    bounds = np.flatnonzero(is_bound)
+    return bounds[:-1], np.diff(bounds)
 
 
 def _competition_ranks(v: np.ndarray) -> np.ndarray:
-    """Competition rank of each entry of a vector from :func:`_as_vector`, by value descending."""
+    """Competition rank of each entry of a vector from :func:`_as_vector`, by value
+    descending: int32 up to 2**31 - 1 entries, int64 above (:func:`_index_dtype`)."""
+    dtype = _index_dtype(v.size)  # of the row order too
     # numpy's argsort slows down about tenfold when many keys tie at the least key, so values with
     # at least as many ties at the top as at the bottom, as ranks have, are sorted ascending
     if v.size and np.count_nonzero(v == v.max()) >= np.count_nonzero(v == v.min()):
-        order = np.argsort(v)[::-1]
+        order = np.argsort(v)[::-1].astype(dtype, copy=False)
     else:  # counts, whose ties gather at the bottom
-        order = np.argsort(~v if v.dtype.kind == "i" else -v)  # ~v is -v - 1 and never wraps
+        order = np.argsort(~v if v.dtype.kind == "i" else -v).astype(dtype, copy=False)  # ~v never wraps
     starts, lengths = _runs(v[order])  # tied entries get one rank in any order
-    ranks = np.empty(v.size, dtype=np.int64)
-    ranks[order] = np.repeat(starts + 1, lengths)
+    starts += 1
+    ranks = np.empty(v.size, dtype=dtype)
+    ranks[order] = np.repeat(starts.astype(dtype, copy=False), lengths)
     return ranks
 
 
@@ -141,7 +145,8 @@ def _mid_ranks(ranks: np.ndarray) -> np.ndarray:
 def rank_values(values) -> np.ndarray:
     """Competition rank of each entry of a non-negative integer vector.
 
-    Vectorized; ranks correspond positionally to the input.
+    Vectorized; ranks correspond positionally to the input. The ranks are
+    int32 up to 2**31 - 1 entries and int64 above.
     """
     v = _as_vector(values, "values")
     if v.size and (v.dtype.kind == "f" or v.min() < 0):
@@ -159,17 +164,23 @@ def fractional_rank(values) -> np.ndarray:
     return _mid_ranks(_competition_ranks(_as_vector(values, "values")))
 
 
-def _sorted_pair_keys(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """The (x, y) pairs of two non-negative integer vectors as keys x * span + y,
-    sorted ascending, and span, the largest y + 1: a key's x is ``key // span``
-    and its y ``key % span``. The one code that orders rank pairs.
+def _pair_keys(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The (x, y) pairs of two non-negative integer vectors as int64 keys
+    x * span + y, in input order, and span, the largest y + 1: a key's x is
+    ``key // span`` and its y ``key % span``.
     """
     span = int(y.max()) + 1 if y.size else 1
     if y.size and (min(x.min(), y.min()) < 0 or (int(x.max()) + 1) * span > 2**63):
         raise ValidationError("pair keys need non-negative values whose keys fit in int64")
-    keys = x.astype(np.int64)
+    keys = x.astype(np.int64)  # widened before the product, which passes 2**31 with int32 ranks
     keys *= span
     keys += y
+    return keys, span
+
+
+def _sorted_pair_keys(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`_pair_keys`, sorted ascending in place: the one code that orders rank pairs."""
+    keys, span = _pair_keys(x, y)
     keys.sort()
     return keys, span
 
@@ -222,8 +233,7 @@ def _rank_sorted_rows(column: np.ndarray, table: TermStatsTable) -> RankedList:
         order = np.argsort(keys, kind="stable")
     finally:
         np.invert(keys, out=keys)
-    if order.size <= _INT32_MAX:
-        order = order.astype(np.int32)  # the list keeps these rows: half the bytes
+    order = order.astype(_index_dtype(order.size), copy=False)  # the list keeps these rows
     starts, _ = _runs(column[order])
     return RankedList(table, column, order, starts)
 

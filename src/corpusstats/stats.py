@@ -50,7 +50,7 @@ _BLOCK_SIZE = 1 << 16  # bytes the stats reader reads at a time
 _MAX_DIGITS = 19  # every 19-digit count fits uint64; 2**63 - 1 has 19 digits
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 _TAB, _LF, _ZERO, _HASH, _L = b"\t\n0#L"
-_INT32_MAX = 2**31 - 1  # term buffers up to this size index their newlines with int32
+_INT32_MAX = 2**31 - 1  # the largest size whose offsets, rows and ranks are int32 (:func:`_index_dtype`)
 
 
 class TermStatsTable:
@@ -307,11 +307,17 @@ def _term_order(buffer) -> tuple[bytearray, np.ndarray, np.ndarray]:
     return packed, order, first
 
 
+def _index_dtype(size: int) -> type:
+    """The integer type of the offsets into, rows of or ranks among ``size``
+    items: int32 up to 2**31 - 1 items, int64 above."""
+    return np.int32 if size <= _INT32_MAX else np.int64
+
+
 def _line_ends(buffer: bytes | bytearray) -> np.ndarray:
     """The offsets of the newlines of a term ``buffer``: int32 up to 2**31 - 1
     bytes, int64 above. Scans a block at a time, so no whole-buffer mask is made."""
     data = np.frombuffer(buffer, dtype=np.uint8)
-    ends = np.empty(buffer.count(b"\n"), dtype=np.int32 if data.size <= _INT32_MAX else np.int64)
+    ends = np.empty(buffer.count(b"\n"), dtype=_index_dtype(data.size))
     found = 0
     for lo in range(0, data.size, _BLOCK_SIZE):
         block_ends = np.flatnonzero(data[lo:lo + _BLOCK_SIZE] == _LF)

@@ -27,7 +27,7 @@ from corpusstats import (
     spearman_rho_shortcut,
     tau_to_rho,
 )
-from corpusstats import correlation
+from corpusstats import correlation, stats
 from corpusstats.correlation import write_curve
 from conftest import SONG_ALIGNED_RANKS
 
@@ -47,6 +47,16 @@ def random_tied_pairs(rng, max_n=300):
     x = rng.integers(0, alphabet, n)
     y = rng.integers(0, alphabet, n)
     return x, y
+
+
+def histogram_counts(x_code, y_code, n_x, n_y):
+    """Discordant and both-tied pairs of two code vectors, from their histogram."""
+    return correlation._histogram_counts(x_code.astype(np.int64) * n_y + y_code, n_x, n_y)
+
+
+def merge_counts(x_code, y_code):
+    """Discordant and both-tied pairs of two code vectors, from their sorted pair keys."""
+    return correlation._merge_counts(*correlation._sorted_pair_keys(x_code, y_code))
 
 
 def double_loop_counts(x, y):
@@ -235,6 +245,40 @@ class TestKendallKernels:
             want = sps.kendalltau(x, y).statistic
             assert abs(c.tau_b - want) <= 1e-12
 
+    def test_merge_of_int32_ranks_whose_pair_keys_pass_2_31(self, monkeypatch):
+        # 60,000 tie-free ranks against a noisy copy: the keys x_code * 60,000 + y_code reach 3.6e9
+        rng = np.random.default_rng(31)
+        n = 60_000
+        x = rank_values(rng.permutation(n))
+        y = rank_values(np.argsort(np.argsort(x + rng.integers(0, n // 8, n), kind="stable")))
+        assert x.dtype == y.dtype == np.int32
+        largest_keys = []
+        counter = correlation._merge_counts
+        monkeypatch.setattr(correlation, "_merge_counts",
+                            lambda keys, span: largest_keys.append(int(keys[-1])) or counter(keys, span))
+        got = kendall_tau_fast(x, y)
+        assert largest_keys and largest_keys[0] >= 2**31
+        assert got.ties_x == got.ties_y == got.ties_xy == 0
+        assert abs(got.tau_b - sps.kendalltau(x, y).statistic) <= 1e-12
+
+    @pytest.mark.parametrize("alphabet", [30, 10**9], ids=["histogram", "merge"])
+    def test_int64_ranks_and_codes_above_the_int32_limit_count_as_int32_ones(self, alphabet, monkeypatch):
+        rng = np.random.default_rng(17)
+        x, y = rng.integers(0, alphabet, 400), rng.integers(0, alphabet, 400)
+
+        def outcomes():
+            ranks = rank_values(x), rank_values(y)
+            codes = correlation._dense_codes(ranks[0])[0]
+            reports = [correlation_report(*ranks, diagnostic_shortcut=True, fractional=fractional)
+                       for fractional in (False, True)]
+            return [v.dtype for v in (*ranks, codes)], [r.tolist() for r in ranks], reports
+        dtypes, *want = outcomes()
+        assert dtypes == [np.int32] * 3
+        monkeypatch.setattr(stats, "_INT32_MAX", x.size - 1)
+        dtypes, *got = outcomes()
+        assert dtypes == [np.int64] * 3
+        assert got == want
+
     def test_against_scipy_at_one_million(self):
         # a third tau-b oracle at a size the naive kernel cannot reach;
         # about 3,000 distinct x values and 1,200 distinct y values
@@ -261,9 +305,7 @@ class TestKendallKernels:
             # every code occurs at least once, so the codes are dense
             x_code = rng.permutation(np.append(np.arange(n_x), rng.integers(0, n_x, n - n_x)))
             y_code = rng.permutation(np.append(np.arange(n_y), rng.integers(0, n_y, n - n_y)))
-            assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (
-                correlation._merge_counts(x_code, y_code)
-            )
+            assert histogram_counts(x_code, y_code, n_x, n_y) == merge_counts(x_code, y_code)
             # competition ranks are coded from their counts directly; mid-ranks,
             # other floats and integers outside [0, n] are ranked first
             for x, y, sign in ((rank_values(x_code), rank_values(y_code), -1),
@@ -287,18 +329,18 @@ class TestKendallKernels:
 
     def test_counters_on_empty_and_one_group_codes(self):
         empty = np.zeros(0, dtype=np.int64)
-        assert correlation._histogram_counts(empty, empty, 0, 0) == (0, 0)
-        assert correlation._merge_counts(empty, empty) == (0, 0)
+        assert histogram_counts(empty, empty, 0, 0) == (0, 0)
+        assert merge_counts(empty, empty) == (0, 0)
         one_group = np.zeros(5, dtype=np.int64)
         spread = np.array([3, 0, 4, 1, 2])
         for x_code, y_code, n_x, n_y in ((one_group, one_group, 1, 1), (one_group, spread, 1, 5),
                                          (spread, one_group, 5, 1)):
             tied_both = 10 if n_x == n_y else 0  # all 5 * 4 / 2 pairs, or none
-            assert correlation._histogram_counts(x_code, y_code, n_x, n_y) == (0, tied_both)
-            assert correlation._merge_counts(x_code, y_code) == (0, tied_both)
+            assert histogram_counts(x_code, y_code, n_x, n_y) == (0, tied_both)
+            assert merge_counts(x_code, y_code) == (0, tied_both)
         up = np.arange(5)
-        assert correlation._histogram_counts(up, up[::-1], 5, 5) == (10, 0)
-        assert correlation._merge_counts(up, up[::-1]) == (10, 0)
+        assert histogram_counts(up, up[::-1], 5, 5) == (10, 0)
+        assert merge_counts(up, up[::-1]) == (10, 0)
 
     def test_naive_block_size_is_irrelevant(self):
         rng = np.random.default_rng(13)
@@ -684,5 +726,9 @@ class TestInputsAreOnlyRead:
         for name, call in READ_ONLY_CALLS.items():
             got = outcome(call, x, y)
             assert got == outcome(call, x.tolist(), y.tolist()), name
-            if dtype is np.int64:
-                assert got == outcome(call, x.astype(np.int32), y.astype(np.int32)), name
+            if dtype is np.int64:  # int32 inputs are read in place, so they are read-only too
+                assert got == outcome(call, read_only(xs, np.int32), read_only(ys, np.int32)), name
+
+    def test_int32_vectors_are_used_without_a_copy(self):
+        ranks = read_only([3, 1, 2, 2], np.int32)
+        assert np.shares_memory(correlation._as_vector(ranks, "x"), ranks)

@@ -22,18 +22,19 @@ N = 200_000
 
 # stage -> (arguments after --stats TABLE, peak bound in int64 columns of n)
 BUDGETS = {
-    "correlate": (["correlate", "--out", "{out}/report.tsv"], 8.0),
+    "correlate": (["correlate", "--out", "{out}/report.tsv"], 4.2),
     "correlate_curve": (["correlate", "--out", "{out}/report.tsv", "--curve-out", "{out}/curve.tsv",
-                         "--checkpoints", "1000,10000,100000,200000"], 8.0),
+                         "--checkpoints", "1000,10000,100000,200000"], 4.2),
+    "correlate_fractional": (["correlate", "--fractional", "--out", "{out}/report.tsv"], 4.2),
     "correlate_fractional_curve": (["correlate", "--fractional", "--out", "{out}/report.tsv",
                                     "--curve-out", "{out}/curve.tsv",
-                                    "--checkpoints", "1000,10000,100000,200000"], 6.2),
+                                    "--checkpoints", "1000,10000,100000,200000"], 5.2),
     "rank_by": (["rank", "--by", "tc", "--out", "{out}/rank.tsv"], 4.6),
     "rank_by_df": (["rank", "--by", "df", "--out", "{out}/rank.tsv"], 4.6),
     "rank_overlap": (["rank", "--overlap", "1", "20", "--out", "{out}/overlap.tsv"], 5.6),
     # a window of every rank: one mask of the table's rows, where sets of its terms took 45 columns
     "rank_overlap_wide": (["rank", "--overlap", "1", str(N), "--out", "{out}/overlap.tsv"], 5.6),
-    "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 5.2),
+    "rank_scatter": (["rank", "--scatter", "--out", "{out}/scatter.tsv"], 4.2),
     "ratio": (["ratio", "--out-prefix", "{out}/ratio"], 3.9),
     "ffreq": (["ffreq", "--out", "{out}/ffreq.tsv"], 3.9),
 }
@@ -87,12 +88,31 @@ def test_stage_peak_within_budget(stage, tied_table, tmp_path):
     assert columns <= bound, f"{stage} peaked at {columns:.2f} int64 columns of n, above {bound}"
 
 
+def tie_free_pairs():
+    """A tie-free permutation of range(N) against a noisy copy of it."""
+    rng = np.random.default_rng(5)
+    x = rng.permutation(N)
+    return x, np.argsort(np.argsort(x + rng.integers(0, N // 8, N), kind="stable"))
+
+
+def test_tie_free_correlate_peak_within_budget(tmp_path):
+    """``correlate`` of a table without ties, whose Kendall counts take the merge path."""
+    x, y = tie_free_pairs()
+    terms = "".join(f"t{i:07d}\n" for i in range(N)).encode("ascii")
+    table = tmp_path / "tie_free.stats"
+    write_stats(TermStatsTable(terms, N + x, 1 + y, N), table)
+    columns = traced_peak(["correlate", "--stats", str(table), "--out", str(tmp_path / "report.tsv")]) / (N * 8)
+    assert columns <= 6.3, f"tie-free correlate peaked at {columns:.2f} int64 columns of n, above 6.3"
+
+
+# kendall_tau_fast's inputs -> peak bound in int64 columns of n
+KERNEL_BUDGETS = {"tie_free_ints": 3.4, "tie_free_floats": 4.6, "generate_pairs_mid_ranks": 3.4}
+
+
 def kernel_pairs(case):
     """N pairs on which kendall_tau_fast merges: a tie-free permutation against a
     noisy copy of it, the same as floats, and the mid-ranks of generate_pairs."""
-    rng = np.random.default_rng(5)
-    x = rng.permutation(N)
-    y = np.argsort(np.argsort(x + rng.integers(0, N // 8, N), kind="stable"))
+    x, y = tie_free_pairs()
     if case == "tie_free_ints":
         return x, y
     if case == "tie_free_floats":
@@ -100,12 +120,13 @@ def kernel_pairs(case):
     return tuple(fractional_rank(v) for v in generate_pairs(N))
 
 
-@pytest.mark.parametrize("case", ["tie_free_ints", "tie_free_floats", "generate_pairs_mid_ranks"])
+@pytest.mark.parametrize("case", sorted(KERNEL_BUDGETS))
 def test_kendall_merge_peak_within_budget(case):
     """The fast kernel alone; the tied table above only takes its histogram path."""
     x, y = kernel_pairs(case)
+    bound = KERNEL_BUDGETS[case]
     columns = call_peak(lambda: kendall_tau_fast(x, y)) / (N * 8)
-    assert columns <= 9.0, f"kendall_tau_fast on {case} peaked at {columns:.2f} int64 columns of n, above 9.0"
+    assert columns <= bound, f"kendall_tau_fast on {case} peaked at {columns:.2f} int64 columns of n, above {bound}"
 
 
 # ffreq flags after --freq-list LIST -> peak bound in int64 columns of n. The

@@ -17,7 +17,7 @@ from corpusstats import (
     write_rank_scatter,
     write_ranked_list,
 )
-from corpusstats import ranking
+from corpusstats import ranking, stats
 from conftest import (
     RANKS_101_120_DF,
     RANKS_101_120_TC,
@@ -100,6 +100,17 @@ class TestRankValues:
 
     def test_empty(self):
         assert rank_values([]).size == 0
+
+    def test_ranks_are_int32_up_to_the_limit_and_int64_above_it(self, monkeypatch):
+        values = np.random.default_rng(11).integers(0, 40, 300)
+        ranks = rank_values(values)
+        rerank = rank_values(ranks)  # ties at the top: the ascending sort
+        assert ranks.dtype == rerank.dtype == np.int32
+        monkeypatch.setattr(stats, "_INT32_MAX", values.size - 1)
+        for vector, want in ((values, ranks), (ranks, rerank)):
+            got = rank_values(vector)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist() == quadratic_ranks(vector.tolist())
 
     def test_rejects_negatives_floats_and_overflow(self):
         with pytest.raises(ValidationError):
