@@ -143,6 +143,32 @@ class TestCorrelate:
         assert rows["concordant"] == "21" and rows["discordant"] == "3"
         assert "spearman_rho_shortcut" not in rows
 
+    SONG_REPORT = [
+        ("n", "12"),
+        ("spearman_rho", "0.6225430174794672"),
+        ("kendall_tau_a", "0.2727272727272727"),
+        ("kendall_tau_b", "0.5547001962252291"),
+        ("rho_estimated_from_tau", "0.7467118026108854"),
+        ("p_value_rho", "0.030618593033101996"),
+        ("concordant", "21"),
+        ("discordant", "3"),
+        ("ties_x", "3"),
+        ("ties_y", "15"),
+        ("ties_xy", "24"),
+    ]
+
+    @pytest.mark.parametrize("flags, fmt", [([], "tsv"), (["--diagnostic"], "tsv"), ([], "json")])
+    def test_report_layout_is_pinned(self, flags, fmt, song_stats_file, tmp_path):
+        # the whole file, spelled out: each row's name, its place and its value's text
+        rows = self.SONG_REPORT + [("spearman_rho_shortcut", "0.8461538461538461")] * bool(flags)
+        if fmt == "tsv":
+            want = "".join(f"{key}\t{value}\n" for key, value in rows)
+        else:
+            want = "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in sorted(rows)) + "\n}\n"
+        out = tmp_path / "report"
+        run_ok(["correlate", "--stats", str(song_stats_file), "--out", str(out), "--format", fmt, *flags])
+        assert out.read_text(encoding="utf-8") == want
+
     def test_exact_p_value_keeps_the_ties(self, tmp_path):
         # competition ranks tc (1,2,2,4,4,4,7,8) and df (1,1,3,3,5,5,7,7): the
         # orderings of the tied df ranks give p = 24/5040, not the tie-free 0.00223
