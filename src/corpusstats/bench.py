@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import kendall_tau_fast, kendall_tau_naive
 from .errors import ValidationError
-from .ingest import write_utf8
+from .ingest import write_rows
 
 KERNELS = {
     "naive": kendall_tau_naive,
@@ -153,14 +153,12 @@ def extrapolate(curve: TimingCurve, target_n: int) -> float:
 
 def write_curve(curve: TimingCurve, path) -> None:
     """Export ``n<TAB>seconds`` rows, then the fit and projections stanza."""
-    with write_utf8(path) as fh:
-        for p in curve.points:
-            fh.write(f"{p.n}\t{p.seconds!r}\n")
-        if curve.fit is not None:
-            fh.write(f"#fit exponent={curve.fit.exponent!r} ")
-            fh.write(f"coefficient={curve.fit.coefficient!r} ")
-            fh.write(f"r_squared={curve.fit.r_squared!r}\n")
-        for target in sorted(curve.extrapolations):
-            fh.write(f"#extrapolate {target}\t{curve.extrapolations[target]!r}\n")
-        if curve.truncated:
-            fh.write("#truncated\n")
+    rows: list[tuple] = [(p.n, p.seconds) for p in curve.points]
+    if curve.fit is not None:
+        fit = curve.fit
+        rows.append((f"#fit exponent={fit.exponent} coefficient={fit.coefficient} "
+                     f"r_squared={fit.r_squared}",))
+    rows += [(f"#extrapolate {target}", seconds) for target, seconds in sorted(curve.extrapolations.items())]
+    if curve.truncated:
+        rows.append(("#truncated",))
+    write_rows(rows, path)

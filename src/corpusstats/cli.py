@@ -8,13 +8,15 @@ usage error, 2 data error (parse, validation, degenerate input), 3 I/O
 failure.
 
 Outputs are deterministic: rows come out in documented sort orders and
-floats are printed with repr, so identical inputs give byte-identical
-files. The one exception is bench, whose numbers are wall-clock readings.
+every text report is written by ``ingest.write_rows``, where a float's
+cell is its repr, so identical inputs give byte-identical files. The one
+exception is bench, whose numbers are wall-clock readings.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,6 +36,7 @@ from .ingest import (
     read_corpus,  # noqa: F401 (count no longer calls it; perfbench/tracer.py wraps cli.read_corpus)
     read_utf8,
     tokenize,
+    write_rows,
     write_utf8,
 )
 
@@ -230,19 +233,12 @@ def _write_json(payload, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_tsv_rows(rows, path: Path) -> None:
-    with write_utf8(path) as fh:
-        for row in rows:
-            fh.write("\t".join(str(cell) for cell in row))
-            fh.write("\n")
-
-
 def _write_report(rows, path: Path, fmt: str) -> None:
     """Write ``(key, value)`` rows as TSV lines, or as one JSON object keyed by ``str(key)``."""
     if fmt == "json":
         _write_json({str(key): value for key, value in rows}, path)
     else:
-        _write_tsv_rows(rows, path)
+        write_rows(rows, path)
 
 
 def _cmd_count(args: argparse.Namespace) -> None:
@@ -291,22 +287,9 @@ def _cmd_rank(args: argparse.Namespace) -> None:
 
 
 def _report_rows(report: correlation.CorrelationReport) -> list[tuple[str, object]]:
-    rows: list[tuple[str, object]] = [
-        ("n", report.n),
-        ("spearman_rho", report.spearman_rho),
-        ("kendall_tau_a", report.kendall_tau_a),
-        ("kendall_tau_b", report.kendall_tau_b),
-        ("rho_estimated_from_tau", report.rho_estimated_from_tau),
-        ("p_value_rho", report.p_value_rho),
-        ("concordant", report.concordant),
-        ("discordant", report.discordant),
-        ("ties_x", report.ties_x),
-        ("ties_y", report.ties_y),
-        ("ties_xy", report.ties_xy),
-    ]
-    if report.spearman_rho_shortcut is not None:
-        rows.append(("spearman_rho_shortcut", report.spearman_rho_shortcut))
-    return rows
+    """The report's fields in declared order; the shortcut only when it was computed."""
+    return [(field.name, value) for field in dataclasses.fields(report)
+            if (value := getattr(report, field.name)) is not None]
 
 
 def _cmd_correlate(args: argparse.Namespace) -> None:
@@ -406,17 +389,25 @@ def _cmd_lexsig(args: argparse.Namespace) -> None:
     docs = _load_docs(args)
     model = _background_model(args)
     signatures = [lexsig.lexical_signature(d, model, args.k, args.normalized_tf) for d in docs]
+    rows = [(sig.doc_id, term, weight) for sig in signatures for term, weight in sig.terms]
     if args.format == "json":
-        payload = {
-            sig.doc_id: [[term, weight] for term, weight in sig.terms] for sig in signatures
-        }
+        payload = {sig.doc_id: [] for sig in signatures}  # a document with no terms keeps its empty list
+        for doc_id, term, weight in rows:
+            payload[doc_id].append([term, weight])
         _write_json(payload, args.out)
     else:
-        rows = []
-        for sig in signatures:
-            for term, weight in sig.terms:
-                rows.append((sig.doc_id, term, repr(weight)))
-        _write_tsv_rows(rows, args.out)
+        write_rows(rows, args.out)
+
+
+# The JSON keys of a SignatureComparison's fields, in declared order.
+_COMPARISON_KEYS = ("doc", "size_measured", "size_proxy", "overlap", "tau_b_shared", "displaced")
+
+
+def _comparison_cell(value):
+    """A compare-sig cell as TSV writes it: None as NA, a bool as true or false."""
+    if value is None:
+        return "NA"
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def _cmd_compare_sig(args: argparse.Namespace) -> None:
@@ -424,35 +415,12 @@ def _cmd_compare_sig(args: argparse.Namespace) -> None:
     table = stats.read_stats(args.stats_path)
     measured = lexsig.model_from_table(table, lexsig.DfMode.MEASURED_DF, args.n_hat)
     proxy = lexsig.model_from_table(table, lexsig.DfMode.TC_AS_DF, args.n_hat)
-    rows = lexsig.compare_signatures(docs, measured, proxy, args.k, args.normalized_tf)
+    comparisons = lexsig.compare_signatures(docs, measured, proxy, args.k, args.normalized_tf)
+    rows = [dataclasses.astuple(comparison) for comparison in comparisons]
     if args.format == "json":
-        payload = [
-            {
-                "doc": r.doc_id,
-                "size_measured": r.size_a,
-                "size_proxy": r.size_b,
-                "overlap": r.overlap,
-                "tau_b_shared": r.tau_b_shared,
-                "displaced": r.displaced,
-            }
-            for r in rows
-        ]
-        _write_json(payload, args.out)
+        _write_json([dict(zip(_COMPARISON_KEYS, row)) for row in rows], args.out)
     else:
-        _write_tsv_rows(
-            [
-                (
-                    r.doc_id,
-                    r.size_a,
-                    r.size_b,
-                    r.overlap,
-                    "NA" if r.tau_b_shared is None else repr(r.tau_b_shared),
-                    "true" if r.displaced else "false",
-                )
-                for r in rows
-            ],
-            args.out,
-        )
+        write_rows([map(_comparison_cell, row) for row in rows], args.out)
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:

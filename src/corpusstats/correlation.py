@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .ingest import write_utf8
+from .ingest import write_rows
 from .ranking import _as_vector, _competition_ranks, _mid_ranks, _pair_keys, _runs, _sorted_pair_keys
 from .stats import _index_dtype
 
@@ -541,6 +541,4 @@ def correlation_report(x, y, diagnostic_shortcut: bool = False,
 
 def write_curve(points: list[CurvePoint], path) -> None:
     """Export ``checkpoint<TAB>rho<TAB>tau_b`` rows."""
-    with write_utf8(path) as fh:
-        for p in points:
-            fh.write(f"{p.checkpoint}\t{p.rho!r}\t{p.tau_b!r}\n")
+    write_rows(((p.checkpoint, p.rho, p.tau_b) for p in points), path)

@@ -156,6 +156,15 @@ def write_utf8(path) -> Iterator[TextIO]:
         raise
 
 
+def write_rows(rows, path) -> None:
+    """Write each row as one line of its cells' ``str``, tab-separated, all or
+    nothing through :func:`write_utf8`. Every text report is written here; a
+    float's cell is its repr, the shortest text that reads back as that float."""
+    with write_utf8(path) as fh:
+        for row in rows:
+            fh.write("\t".join(map(str, row)) + "\n")
+
+
 def _open_descriptor(path: Path) -> int | None:
     """The descriptor N if ``path``, after its symlinks, is entry N of this
     process's descriptor directory (``/proc/self/fd`` or ``/dev/fd``)."""

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import write_utf8
+from .ingest import write_rows
 from .ranking import _runs
 from .stats import TermStatsTable
 
@@ -137,16 +137,11 @@ def write_histogram(hist: RatioHistogram, path) -> None:
     (1.50 under two_decimals, 1.5 under one_decimal, 2 under integer).
     """
     fmt = _KEY_FORMATS[hist.rounding]
-    with write_utf8(path) as fh:
-        for key in sorted(hist.bins):
-            fh.write(f"{fmt.format(key)}\t{hist.bins[key]}\n")
+    write_rows(((fmt.format(key), hist.bins[key]) for key in sorted(hist.bins)), path)
 
 
 def write_ratio_summary(hist: RatioHistogram, path) -> None:
     """Export the rounding-independent summary plus the modal bin."""
-    with write_utf8(path) as fh:
-        fh.write(f"mean\t{hist.mean!r}\n")
-        fh.write(f"stddev\t{hist.stddev!r}\n")
-        fh.write(f"median\t{hist.median!r}\n")
-        fh.write(f"mode\t{_KEY_FORMATS[hist.rounding].format(hist.mode)}\n")
-        fh.write(f"terms\t{hist.term_total}\n")
+    mode = _KEY_FORMATS[hist.rounding].format(hist.mode)
+    write_rows([("mean", hist.mean), ("stddev", hist.stddev), ("median", hist.median),
+                ("mode", mode), ("terms", hist.term_total)], path)

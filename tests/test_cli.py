@@ -13,7 +13,7 @@ import pytest
 
 import corpusstats
 from corpusstats import (TermStatsTable, cli, correlation_report, fractional_rank, prefix_correlation_curve,
-                         ranking, ratio, read_stats, write_stats)
+                         ingest, ranking, ratio, read_stats, write_stats)
 from corpusstats.cli import main
 from corpusstats.correlation import write_curve
 from corpusstats.ingest import UTF8_BOM
@@ -307,7 +307,7 @@ class TestRatio:
 
     def test_a_failed_fourth_file_leaves_none_of_the_six(self, song_stats_file, tmp_path,
                                                          monkeypatch):
-        write_utf8 = ratio.write_utf8
+        write_utf8 = ingest.write_utf8
         opened = []
 
         @contextmanager
@@ -318,7 +318,7 @@ class TestRatio:
                     raise OSError(28, "No space left on device")
                 yield fh
 
-        monkeypatch.setattr(ratio, "write_utf8", disk_full_in_the_fourth)
+        monkeypatch.setattr(ingest, "write_utf8", disk_full_in_the_fourth)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["ratio", "--stats", str(song_stats_file), "--rounding", "all",

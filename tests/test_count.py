@@ -11,6 +11,7 @@ too, so that documents, lines and CRLF pairs straddle block ends.
 
 import io
 import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -473,7 +474,7 @@ def test_many_faulty_pool_counts_in_one_process_finish(tmp_path):
     # could hang a long-lived process within a few hundred such counts.
     proc = subprocess.run([sys.executable, "-c", STRESS, str(tmp_path / "corpus.txt")],
                           capture_output=True, text=True, timeout=60, cwd=ROOT,
-                          env={"PYTHONPATH": str(ROOT / "src")})
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "600"
 
@@ -485,7 +486,7 @@ def test_usable_cpus_is_positive():
 def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import corpusstats.cli"],
                           capture_output=True, text=True, check=True, cwd=ROOT,
-                          env={"PYTHONPATH": str(ROOT / "src")})
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     modules = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
     assert "corpusstats.cli" in modules
     assert [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
@@ -500,7 +501,7 @@ def test_one_job_never_imports_multiprocessing(song_corpus_dir, tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(ROOT / "src")})
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.stdout.strip() == "[]"
 
 

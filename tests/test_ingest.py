@@ -9,6 +9,7 @@ import threading
 import unicodedata
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from corpusstats import (
     read_ngram_table,
     tokenize,
 )
-from corpusstats.ingest import _strip_edges, check_field, write_utf8
+from corpusstats.ingest import _strip_edges, check_field, write_rows, write_utf8
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -340,6 +341,31 @@ def columns(table):
     """The terms and tc column of a tc-only table."""
     assert table.count_arrays()[1] is None
     return table.terms(), table.count_arrays()[0].tolist()
+
+
+class TestWriteRows:
+    def test_cells_are_tab_joined_and_floats_shortest(self, tmp_path):
+        target = tmp_path / "report.tsv"
+        write_rows([("a", 3, 0.1), (np.float64(1e-09), -1.0), ("caf\u00e9",)], target)
+        assert target.read_bytes() == "a\t3\t0.1\n1e-09\t-1.0\ncaf\u00e9\n".encode("utf-8")
+
+    def test_no_rows_give_an_empty_file(self, tmp_path):
+        target = tmp_path / "report.tsv"
+        write_rows(iter(()), target)
+        assert target.read_bytes() == b""
+
+    def test_rows_raising_partway_leave_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "report.tsv"
+        target.write_bytes(b"old\t1\n")
+
+        def rows():
+            yield ("new", 2)
+            raise RuntimeError("no third row")
+
+        with pytest.raises(RuntimeError):
+            write_rows(rows(), target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"old\t1\n"
 
 
 class TestWriteUtf8:
